@@ -189,12 +189,15 @@ impl EngineGeneration {
     /// [`EngineGeneration::load`] re-sharding the store at `shard_capacity`
     /// — the wire format carries no layout (see
     /// [`LabelStore::write_snapshot`]), so a stream saved at any capacity
-    /// (including pre-shard streams) loads at any other.
+    /// (including pre-shard streams) loads at any other. A zero
+    /// `shard_capacity` is [`SnapshotError::InvalidArgument`], raised
+    /// before anything is read.
     pub fn load_with_shard_capacity(
         fvl: Arc<Fvl<'static>>,
         from: &mut impl Read,
         shard_capacity: u32,
     ) -> Result<Self, SnapshotError> {
+        LabelStore::check_shard_capacity(shard_capacity)?;
         let container = read_container(from)?;
         let expected = spec_fingerprint(&fvl.spec().grammar, fvl.prod_graph());
         if container.fingerprint != expected {

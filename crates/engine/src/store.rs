@@ -11,9 +11,9 @@
 //!
 //! [`LabelStore`] exploits that: paths are interned into a trie keyed by
 //! `(parent node, edge label)`, so every shared prefix is stored exactly
-//! once per shard. A stored label is then two `(path node, port)` pairs,
-//! and an [`ItemId`] is a dense index suitable for slicing, batching and
-//! bitmap bookkeeping.
+//! once per shard. A stored label is then two `(path node, port)` pairs
+//! packed into 12 bytes, and an [`ItemId`] is a dense index suitable for
+//! slicing, batching and bitmap bookkeeping.
 //!
 //! # Sharding (the generational-engine contract)
 //!
@@ -36,15 +36,29 @@
 //!   an O(touched) increment — publish latency stays flat as the store
 //!   grows to millions of items (`update_throughput` bench).
 //!
+//! # Sealed and tail shards
+//!
+//! A shard is *sealed* by the insert that fills it: no later insert can
+//! reach it, so its `(parent, edge) → node` intern index is dropped and
+//! its node and label tables are cut to exact length. A sealed shard is
+//! two flat creation-order arrays — parent-pointer trie nodes and the
+//! label table — and nothing else. Only the last, not-yet-full *tail*
+//! shard keeps an intern index. Sealing needs no flag: "non-tail shards
+//! are exactly full" already says which shards are sealed.
+//!
 //! The on-disk format is *unchanged* from the single-blob store:
 //! [`LabelStore::write_snapshot`] merges the per-shard tries back into the
 //! one creation-order trie of the §5 wire format (byte-identical to what
 //! the pre-shard store wrote, since labels are always interned in id
-//! order), and [`LabelStore::read_snapshot`] re-shards on load. Old
-//! streams load into sharded stores; new streams load in old readers.
+//! order). [`LabelStore::read_snapshot_with_capacity`] decodes and checks
+//! that trie once, then fills the shards directly: each label's nodes are
+//! mapped into its shard through a dense merged→local array, creating a
+//! local node parent-first the first time the shard sees it. That is the
+//! node order insertion builds, with no per-label path or hash lookup.
+//! Old streams load into sharded stores; new streams load in old readers.
 
 use crate::error::EngineError;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use wf_analysis::ProdGraph;
 use wf_bitio::{BitReader, BitWriter};
@@ -60,13 +74,41 @@ pub struct ItemId(pub u32);
 /// Sentinel parent of the trie root (the empty path).
 const ROOT: u32 = u32::MAX;
 
-/// One stored label: `(path node, port)` per side, `None` mirroring
-/// [`DataLabel`]'s boundary cases. Path nodes index the owning shard's
-/// trie.
-#[derive(Clone, Copy, Debug)]
+/// One stored label: `(path node, port)` per side, either side absent
+/// (mirroring [`DataLabel`]'s boundary cases). Path nodes index the owning
+/// shard's trie. Packed into 12 bytes — two nodes, two ports and a
+/// presence byte — where two `Option<(u32, u8)>`s would pad to 24.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 struct StoredLabel {
-    out: Option<(u32, u8)>,
-    inp: Option<(u32, u8)>,
+    out_node: u32,
+    inp_node: u32,
+    out_port: u8,
+    inp_port: u8,
+    /// [`StoredLabel::OUT`] | [`StoredLabel::INP`]: which sides exist.
+    present: u8,
+}
+
+const _: () = assert!(std::mem::size_of::<StoredLabel>() == 12);
+
+impl StoredLabel {
+    const OUT: u8 = 1;
+    const INP: u8 = 2;
+
+    fn new(out: Option<(u32, u8)>, inp: Option<(u32, u8)>) -> Self {
+        let (out_node, out_port) = out.unwrap_or((ROOT, 0));
+        let (inp_node, inp_port) = inp.unwrap_or((ROOT, 0));
+        let present =
+            if out.is_some() { Self::OUT } else { 0 } | if inp.is_some() { Self::INP } else { 0 };
+        Self { out_node, inp_node, out_port, inp_port, present }
+    }
+
+    fn out(self) -> Option<(u32, u8)> {
+        (self.present & Self::OUT != 0).then_some((self.out_node, self.out_port))
+    }
+
+    fn inp(self) -> Option<(u32, u8)> {
+        (self.present & Self::INP != 0).then_some((self.inp_node, self.inp_port))
+    }
 }
 
 /// One fixed-capacity slice of the store: its labels plus the trie their
@@ -76,9 +118,10 @@ struct StoredLabel {
 #[derive(Clone, Default)]
 struct Shard {
     /// Trie node → (parent node, edge). Node ids are creation-ordered and
-    /// local to this shard.
+    /// local to this shard; parents always precede their children.
     nodes: Vec<(u32, EdgeLabel)>,
-    /// `(parent, edge) → node` — the interning index.
+    /// `(parent, edge) → node` — the interning index. Only the tail shard
+    /// keeps one; [`Shard::seal`] empties it.
     intern: HashMap<(u32, EdgeLabel), u32>,
     labels: Vec<StoredLabel>,
     /// Total edges across this shard's labels *before* sharing (metric).
@@ -106,6 +149,20 @@ impl Shard {
             };
         }
         Ok(cur)
+    }
+
+    /// Seals a full shard: nothing can be interned into it again, so the
+    /// intern index goes and both tables are cut to exact length.
+    fn seal(&mut self) {
+        self.intern = HashMap::new();
+        self.nodes.shrink_to_fit();
+        self.labels.shrink_to_fit();
+    }
+
+    /// Builds the intern index of a tail shard whose nodes were filled
+    /// without one (the snapshot loader).
+    fn index_nodes(&mut self) {
+        self.intern = self.nodes.iter().enumerate().map(|(n, &key)| (key, n as u32)).collect();
     }
 
     /// Writes the root→node path into `buf` (cleared first). Reusable-buffer
@@ -157,9 +214,22 @@ impl LabelStore {
     /// effectively disables sharding (one ever-growing shard — the
     /// pre-shard store, used as the bench baseline and the differential
     /// reference).
+    ///
+    /// Panics if `shard_capacity` is 0; loaders that take a capacity from
+    /// their caller reject it with a typed error instead (see
+    /// [`LabelStore::read_snapshot_with_capacity`]).
     pub fn with_shard_capacity(shard_capacity: u32) -> Self {
         assert!(shard_capacity >= 1, "shard capacity must be at least 1");
         Self { shards: Vec::new(), shard_capacity, len: 0 }
+    }
+
+    /// The typed form of [`LabelStore::with_shard_capacity`]'s capacity
+    /// check, for entry points that return a `Result`.
+    pub(crate) fn check_shard_capacity(shard_capacity: u32) -> Result<(), SnapshotError> {
+        if shard_capacity == 0 {
+            return Err(SnapshotError::InvalidArgument("shard capacity must be at least 1"));
+        }
+        Ok(())
     }
 
     /// Items per shard of this store.
@@ -241,7 +311,10 @@ impl LabelStore {
         // rejected insert cannot skew the sharing metric.
         shard.raw_edges +=
             d.out.as_ref().map_or(0, |p| p.path.len()) + d.inp.as_ref().map_or(0, |p| p.path.len());
-        shard.labels.push(StoredLabel { out, inp });
+        shard.labels.push(StoredLabel::new(out, inp));
+        if shard.labels.len() as u64 == self.shard_capacity as u64 {
+            shard.seal();
+        }
         self.len += 1;
         Ok(id)
     }
@@ -312,11 +385,11 @@ impl LabelStore {
     ) -> LabelRef<'b> {
         let (shard, local) = self.locate(id);
         let stored = shard.labels[local];
-        let out = stored.out.map(|(node, port)| {
+        let out = stored.out().map(|(node, port)| {
             shard.write_path(node, out_buf);
             PortRef { path: &*out_buf, port }
         });
-        let inp = stored.inp.map(|(node, port)| {
+        let inp = stored.inp().map(|(node, port)| {
             shard.write_path(node, inp_buf);
             PortRef { path: &*inp_buf, port }
         });
@@ -351,8 +424,8 @@ impl LabelStore {
                         (n, port)
                     })
                 };
-                let (out, inp) = (side(l.out), side(l.inp));
-                labels.push(StoredLabel { out, inp });
+                let (out, inp) = (side(l.out()), side(l.inp()));
+                labels.push(StoredLabel::new(out, inp));
             }
         }
         w.write_gamma(merged.nodes.len() as u64 + 1);
@@ -362,7 +435,7 @@ impl LabelStore {
         }
         w.write_gamma(labels.len() as u64 + 1);
         for l in &labels {
-            for side in [l.out, l.inp] {
+            for side in [l.out(), l.inp()] {
                 w.push_bit(side.is_some());
                 if let Some((node, port)) = side {
                     w.write_gamma(node_code(node));
@@ -386,14 +459,24 @@ impl LabelStore {
     }
 
     /// Inverse of [`LabelStore::write_snapshot`]. The wire format carries
-    /// one merged trie; the store is rebuilt by re-interning every decoded
-    /// label into shards of `shard_capacity` (insertion order is id order,
-    /// so ids come back identical). Decoding also validates the trie:
-    /// forward parent references and duplicate `(parent, edge)` keys are
-    /// rejected as malformed. Every edge's fields are range-checked
-    /// against the grammar and every stored port against its path's
-    /// terminal module, so nothing a later query indexes with can be out
-    /// of range — bad bytes fail *here*, typed, not inside π.
+    /// one merged trie; it is decoded and checked once, then the labels go
+    /// straight into shards of `shard_capacity` (ids are positions in the
+    /// label table, so they come back identical). Each label's nodes are
+    /// mapped into its shard through a dense merged→local array stamped
+    /// per shard; a node the shard has not seen yet is created there
+    /// parent-first, which is exactly the node order
+    /// [`LabelStore::insert`] builds. No path is materialized and no hash
+    /// lookup happens per label: full shards come out sealed, and only the
+    /// tail's intern index is built, once, from its nodes.
+    ///
+    /// Decoding validates everything a later query indexes with: forward
+    /// parent references and duplicate `(parent, edge)` keys are rejected,
+    /// every edge's fields are range-checked against the grammar and must
+    /// continue its parent's path, every stored port is checked against its
+    /// path's terminal module, every label needs an endpoint, and the
+    /// recorded raw-edge metric must match the labels — bad bytes fail
+    /// *here*, typed, not inside π. A zero `shard_capacity` is
+    /// [`SnapshotError::InvalidArgument`], raised before reading.
     pub fn read_snapshot_with_capacity(
         r: &mut BitReader<'_>,
         codec: &LabelCodec,
@@ -401,6 +484,7 @@ impl LabelStore {
         pg: &ProdGraph,
         shard_capacity: u32,
     ) -> Result<Self, SnapshotError> {
+        Self::check_shard_capacity(shard_capacity)?;
         let cycles = pg
             .cycles()
             .map_err(|_| SnapshotError::Malformed("production graph has no cycle tables"))?;
@@ -408,12 +492,20 @@ impl LabelStore {
         if node_count >= ROOT as usize {
             return Err(SnapshotError::Malformed("trie larger than the id space"));
         }
-        let mut nodes = Vec::with_capacity(node_count.min(1 << 20));
-        let mut intern = HashMap::with_capacity(node_count.min(1 << 20));
-        // The module each trie node's path ends at — what its labels' ports
-        // index into (the empty path, i.e. the root, ends at the start
-        // module).
-        let mut node_module: Vec<ModuleId> = Vec::with_capacity(node_count.min(1 << 20));
+        let reserve = node_count.min(1 << 20);
+        let mut nodes: Vec<(u32, EdgeLabel)> = Vec::with_capacity(reserve);
+        // Per node: the module its path ends at — what its labels' ports
+        // index into — and its depth, the raw edges each reference to it
+        // counts. The root (the empty path) ends at the start module.
+        let mut ends: Vec<(ModuleId, usize)> = Vec::with_capacity(reserve);
+        let mut seen = HashSet::with_capacity(reserve);
+        let end_of = |ends: &[(ModuleId, usize)], node: u32| {
+            if node == ROOT {
+                (grammar.start(), 0)
+            } else {
+                ends[node as usize]
+            }
+        };
         for n in 0..node_count {
             let parent = decode_node(r.read_gamma()?, n)?;
             let e = codec.read_edge(r)?;
@@ -421,58 +513,64 @@ impl LabelStore {
             // shared with the delta-label reader
             // ([`wf_snapshot::edge_target_module`]); without it a forged
             // trie would feed π mismatched matrix dimensions.
-            let parent_module =
-                if parent == ROOT { grammar.start() } else { node_module[parent as usize] };
+            let (parent_module, parent_depth) = end_of(&ends, parent);
             let module = edge_target_module(grammar, cycles, parent_module, e)?;
-            if intern.insert((parent, e), n as u32).is_some() {
+            if !seen.insert((parent, e)) {
                 return Err(SnapshotError::Malformed("duplicate trie edge"));
             }
             nodes.push((parent, e));
-            node_module.push(module);
+            ends.push((module, parent_depth + 1));
         }
-        let module_of =
-            |node: u32| if node == ROOT { grammar.start() } else { node_module[node as usize] };
-        let path_of = |mut node: u32| {
-            let mut path = Vec::new();
-            while node != ROOT {
-                let (parent, e) = nodes[node as usize];
-                path.push(e);
-                node = parent;
-            }
-            path.reverse();
-            path
-        };
+        drop(seen);
         let label_count = (r.read_gamma()? - 1) as usize;
+        if label_count >= ROOT as usize {
+            return Err(SnapshotError::Malformed("label table larger than the id space"));
+        }
+        let cap = shard_capacity as usize;
         let mut store = Self::with_shard_capacity(shard_capacity);
-        for _ in 0..label_count {
-            let side = |r: &mut BitReader<'_>,
-                        outputs: bool|
-             -> Result<Option<(u32, u8)>, SnapshotError> {
+        let mut map = NodeMap::new(node_count);
+        let mut shard = Shard::default();
+        for i in 0..label_count {
+            let mut side = |outputs: bool| -> Result<Option<(u32, u8)>, SnapshotError> {
                 if !r.read_bit()? {
                     return Ok(None);
                 }
                 let node = decode_node(r.read_gamma()?, node_count)?;
                 let port = r.read_bits(8)? as u8;
-                let sig = grammar.sig(module_of(node));
+                let sig = grammar.sig(end_of(&ends, node).0);
                 let arity = if outputs { sig.outputs() } else { sig.inputs() };
                 if port as usize >= arity {
                     return Err(SnapshotError::Malformed("label port out of range"));
                 }
                 Ok(Some((node, port)))
             };
-            let out = side(r, true)?;
-            let inp = side(r, false)?;
+            let out = side(true)?;
+            let inp = side(false)?;
             if out.is_none() && inp.is_none() {
                 return Err(SnapshotError::Malformed("label with no endpoint"));
             }
-            let d = DataLabel {
-                out: out.map(|(node, port)| PortLabel::new(path_of(node), port)),
-                inp: inp.map(|(node, port)| PortLabel::new(path_of(node), port)),
+            if shard.labels.is_empty() {
+                shard.labels.reserve_exact((label_count - i).min(cap).min(1 << 20));
+            }
+            let mut local = |side: Option<(u32, u8)>| {
+                side.map(|(node, port)| {
+                    shard.raw_edges += end_of(&ends, node).1;
+                    (map.local(node, &nodes, &mut shard), port)
+                })
             };
-            store
-                .try_insert(&d)
-                .map_err(|_| SnapshotError::Malformed("store overflow while re-sharding"))?;
+            let (out, inp) = (local(out), local(inp));
+            shard.labels.push(StoredLabel::new(out, inp));
+            if shard.labels.len() == cap {
+                shard.seal();
+                store.shards.push(Arc::new(std::mem::take(&mut shard)));
+                map.next_shard();
+            }
         }
+        if !shard.labels.is_empty() {
+            shard.index_nodes();
+            store.shards.push(Arc::new(shard));
+        }
+        store.len = label_count;
         let raw_edges = (r.read_gamma()? - 1) as usize;
         // The metric is a pure function of the stored labels; a stream
         // whose recorded value disagrees with the labels it carries was
@@ -492,13 +590,53 @@ impl LabelStore {
             shard.write_path(node, &mut path);
             PortLabel::new(path, port)
         };
-        DataLabel { out: stored.out.map(port), inp: stored.inp.map(port) }
+        DataLabel { out: stored.out().map(port), inp: stored.inp().map(port) }
     }
 }
 
 impl Default for LabelStore {
     fn default() -> Self {
         Self::new()
+    }
+}
+
+/// The snapshot loader's merged→local node map for the shard being
+/// filled: merged node `m` is local node `slots[m].1` of that shard iff
+/// `slots[m].0` is its stamp, so moving on to the next shard is one
+/// increment rather than a clear.
+struct NodeMap {
+    slots: Vec<(u32, u32)>,
+    stamp: u32,
+    /// Scratch: the merged nodes a lookup still has to create, leaf first.
+    missing: Vec<u32>,
+}
+
+impl NodeMap {
+    fn new(node_count: usize) -> Self {
+        Self { slots: vec![(0, 0); node_count], stamp: 1, missing: Vec::new() }
+    }
+
+    /// The local id in `shard` of merged node `node` (the root maps to
+    /// itself). A node the shard lacks is created with every missing
+    /// ancestor, parent first, as interning its path would.
+    fn local(&mut self, node: u32, merged: &[(u32, EdgeLabel)], shard: &mut Shard) -> u32 {
+        let mut m = node;
+        while m != ROOT && self.slots[m as usize].0 != self.stamp {
+            self.missing.push(m);
+            m = merged[m as usize].0;
+        }
+        let mut local = if m == ROOT { ROOT } else { self.slots[m as usize].1 };
+        while let Some(m) = self.missing.pop() {
+            let n = shard.nodes.len() as u32;
+            shard.nodes.push((local, merged[m as usize].1));
+            self.slots[m as usize] = (self.stamp, n);
+            local = n;
+        }
+        local
+    }
+
+    fn next_shard(&mut self) {
+        self.stamp += 1;
     }
 }
 
@@ -575,6 +713,84 @@ mod tests {
         }
     }
 
+    /// Whether `shard` has the sealed layout: exactly full, no intern
+    /// entries, and node and label tables cut to exact length.
+    fn is_sealed(shard: &Shard, cap: u32) -> bool {
+        shard.labels.len() == cap as usize
+            && shard.intern.is_empty()
+            && shard.intern.capacity() == 0
+            && shard.nodes.len() == shard.nodes.capacity()
+            && shard.labels.len() == shard.labels.capacity()
+    }
+
+    /// Every non-tail shard is sealed, and the tail (if not full) interns
+    /// exactly its own nodes.
+    fn assert_sealed_layout(store: &LabelStore, what: &str) {
+        let cap = store.shard_capacity();
+        let (tail, sealed) = store.shards.split_last().expect("a non-empty store");
+        for (k, shard) in sealed.iter().enumerate() {
+            assert!(is_sealed(shard, cap), "{what}: cap {cap} shard {k} is not sealed");
+        }
+        if tail.labels.len() == cap as usize {
+            assert!(is_sealed(tail, cap), "{what}: cap {cap} full tail is not sealed");
+        } else {
+            assert_eq!(tail.intern.len(), tail.nodes.len(), "{what}: cap {cap} tail index");
+            for (n, key) in tail.nodes.iter().enumerate() {
+                assert_eq!(tail.intern.get(key), Some(&(n as u32)), "{what}: cap {cap} node {n}");
+            }
+        }
+    }
+
+    /// A BioAID run with a few full 4096-item shards, for layout pins at
+    /// the default capacity.
+    fn bioaid_labels(items: usize) -> (wf_workloads::Workload, Vec<DataLabel>) {
+        use rand::SeedableRng;
+        let w = wf_workloads::bioaid(1);
+        let pg = ProdGraph::new(&w.spec.grammar);
+        let mut rng = rand::rngs::StdRng::seed_from_u64(7);
+        let (_, run) = wf_workloads::sample::sample_run(&w, &pg, &mut rng, items);
+        let labels = Fvl::new(&w.spec).unwrap().labeler(&run).labels().to_vec();
+        (w, labels)
+    }
+
+    /// The layout pins of DESIGN.md S10: inserting seals each shard as it
+    /// fills, and a store loaded from a snapshot is the *same* layout —
+    /// per-shard node tables, label tables, raw-edge counts and tail
+    /// index equal to what `insert_all` built — at every capacity,
+    /// including the default and the unsharded `u32::MAX`.
+    #[test]
+    fn loaded_layout_equals_inserted_layout_and_full_shards_are_sealed() {
+        let (w, labels) = bioaid_labels(9000);
+        let fvl = Fvl::new(&w.spec).unwrap();
+        assert!(labels.len() > 2 * 4096, "two full default shards plus a tail");
+        for cap in [1u32, 3, 8, 4096, u32::MAX] {
+            let mut built = LabelStore::with_shard_capacity(cap);
+            built.insert_all(&labels);
+            assert_sealed_layout(&built, "inserted");
+            let mut wr = BitWriter::new();
+            built.write_snapshot(fvl.codec(), &mut wr);
+            let bits = wr.finish();
+            let mut r = BitReader::new(&bits);
+            let loaded = LabelStore::read_snapshot_with_capacity(
+                &mut r,
+                fvl.codec(),
+                &w.spec.grammar,
+                fvl.prod_graph(),
+                cap,
+            )
+            .unwrap();
+            assert_eq!(r.remaining(), 0);
+            assert_sealed_layout(&loaded, "loaded");
+            assert_eq!((loaded.len(), loaded.shard_count()), (built.len(), built.shard_count()));
+            for (k, (a, b)) in built.shards.iter().zip(&loaded.shards).enumerate() {
+                assert_eq!(a.nodes, b.nodes, "cap {cap} shard {k} nodes");
+                assert_eq!(a.labels, b.labels, "cap {cap} shard {k} labels");
+                assert_eq!(a.raw_edges, b.raw_edges, "cap {cap} shard {k} raw edges");
+                assert_eq!(a.intern, b.intern, "cap {cap} shard {k} intern index");
+            }
+        }
+    }
+
     /// Cloning shares every shard; inserting into the clone un-shares only
     /// the tail — the O(touched) contract the generational writer's
     /// publish cost rests on.
@@ -604,6 +820,43 @@ mod tests {
         }
         // The original is unaffected (readers never see staged state).
         assert_eq!(store.len(), base_len);
+    }
+
+    /// Sealing keeps the O(touched) contract: once every shard is full
+    /// (so sealed), a clone plus one insert opens a fresh tail and shares
+    /// every sealed `Arc`; a further insert un-shares only that tail.
+    #[test]
+    fn clone_after_seal_shares_sealed_shards_and_touches_only_the_tail() {
+        let ex = paper_example();
+        let fvl = Fvl::new(&ex.spec).unwrap();
+        let (run, _) = figure3_run(&ex);
+        let labels: Vec<DataLabel> =
+            fvl.labeler(&run).labels().iter().cycle().take(24).cloned().collect();
+        let mut store = LabelStore::with_shard_capacity(8);
+        store.insert_all(&labels);
+        assert_eq!(store.shard_count(), 3);
+        assert!(store.shards.iter().all(|s| is_sealed(s, 8)), "three full shards are sealed");
+
+        let deep = labels.iter().find(|d| d.out.as_ref().is_some_and(|p| !p.path.is_empty()));
+        let deep = deep.expect("the Figure 3 run has labels below the root");
+        let mut staged = store.clone();
+        staged.insert(deep);
+        assert_eq!(staged.shard_count(), 4);
+        assert_eq!(staged.shards_touched_since(store.len()), 1);
+        for (a, b) in store.shards.iter().zip(&staged.shards) {
+            assert!(Arc::ptr_eq(a, b), "an insert after a seal must not copy sealed shards");
+        }
+        assert!(!staged.shards[3].intern.is_empty(), "the fresh tail interns");
+        assert_sealed_layout(&staged, "staged");
+
+        let mut again = staged.clone();
+        again.insert(&labels[1]);
+        for (a, b) in staged.shards.iter().zip(&again.shards).take(3) {
+            assert!(Arc::ptr_eq(a, b), "sealed shards stay shared");
+        }
+        assert!(!Arc::ptr_eq(&staged.shards[3], &again.shards[3]), "the tail is copied on write");
+        assert_eq!((store.len(), staged.len(), again.len()), (24, 25, 26));
+        assert_eq!(&again.materialize(ItemId(25)), &labels[1]);
     }
 
     #[test]
@@ -742,6 +995,41 @@ mod tests {
         w.write_bits(200, 8); // ...port 200
         w.write_gamma(1);
         assert!(matches!(read(&w.finish()), Err(SnapshotError::Malformed(_))));
+        // A valid first edge under the root, taken from an honest store.
+        let root_edge = {
+            let (run, _) = figure3_run(&ex);
+            let mut s = LabelStore::new();
+            s.insert_all(fvl.labeler(&run).labels());
+            let (parent, e) = s.shards[0].nodes[0];
+            assert_eq!(parent, ROOT);
+            e
+        };
+        // Two trie nodes with the same `(parent, edge)` key are invalid:
+        // paths would no longer name nodes uniquely.
+        let mut w = BitWriter::new();
+        w.write_gamma(3); // two nodes
+        for _ in 0..2 {
+            w.write_gamma(1); // parent = root
+            fvl.codec().write_edge(&mut w, &root_edge);
+        }
+        w.write_gamma(1); // zero labels
+        w.write_gamma(1);
+        assert!(matches!(read(&w.finish()), Err(SnapshotError::Malformed("duplicate trie edge"))));
+        // A label referencing a node past the end of the trie is invalid.
+        let mut w = BitWriter::new();
+        w.write_gamma(2); // one node
+        w.write_gamma(1); // parent = root
+        fvl.codec().write_edge(&mut w, &root_edge);
+        w.write_gamma(2); // one label
+        w.push_bit(true); // out side...
+        w.write_gamma(3); // ...node 1: past the one-node trie
+        w.write_bits(0, 8);
+        w.push_bit(false);
+        w.write_gamma(1);
+        assert!(matches!(
+            read(&w.finish()),
+            Err(SnapshotError::Malformed("trie node reference out of range"))
+        ));
         // A lying raw-edge metric (the labels sum to something else) is
         // invalid: the metric is derivable, so a mismatch proves forgery.
         let ex_store = {
@@ -779,6 +1067,25 @@ mod tests {
         let true_metric = r.read_gamma().unwrap();
         forged.write_gamma(true_metric + 100);
         assert!(matches!(read(&forged.finish()), Err(SnapshotError::Malformed(_))));
+    }
+
+    /// A zero shard capacity is a typed error from the loader, not the
+    /// panic of [`LabelStore::with_shard_capacity`].
+    #[test]
+    fn loading_at_zero_capacity_is_a_typed_error() {
+        let ex = paper_example();
+        let fvl = Fvl::new(&ex.spec).unwrap();
+        let mut w = BitWriter::new();
+        LabelStore::new().write_snapshot(fvl.codec(), &mut w);
+        let bits = w.finish();
+        let got = LabelStore::read_snapshot_with_capacity(
+            &mut BitReader::new(&bits),
+            fvl.codec(),
+            &ex.spec.grammar,
+            fvl.prod_graph(),
+            0,
+        );
+        assert!(matches!(got, Err(SnapshotError::InvalidArgument(_))));
     }
 
     /// Id-space exhaustion must surface as a typed [`EngineError::StoreFull`]

@@ -16,7 +16,7 @@ use wf_engine::{
     EngineWriter, IngestOp, IngestPipeline, LiveEngine, PipelineOptions, PublishPolicy,
     WorkerScratch,
 };
-use wf_snapshot::{FaultKind, FaultPlan, MemStorage};
+use wf_snapshot::{FaultKind, FaultPlan, MemStorage, SnapshotError};
 use wf_workloads::{bioaid, sample, views, Workload};
 
 fn shared_fvl(w: &Workload) -> Arc<Fvl<'static>> {
@@ -296,4 +296,24 @@ fn wait_timeout_bounds_stalled_waits() {
     let report = pipeline.shutdown();
     assert!(t.wait_timeout(Duration::from_millis(100)).expect("resolved").is_ok());
     assert_eq!(report.stats.op_errors, 0);
+}
+
+/// A zero shard capacity is a typed [`SnapshotError::InvalidArgument`]
+/// from both loaders that take one, raised before anything is read or
+/// written: `open` must leave a fresh storage without a base.
+#[test]
+fn zero_shard_capacity_is_a_typed_error_not_a_panic() {
+    let (storage, golden, fvl) = build_chain(5);
+    let got = EngineGeneration::load_with_shard_capacity(fvl.clone(), &mut &golden[1][..], 0);
+    assert!(matches!(got, Err(SnapshotError::InvalidArgument(_))));
+
+    let before = storage.contents();
+    let got = DurableEngine::open(fvl.clone(), Box::new(storage.clone()), 0);
+    assert!(matches!(got, Err(SnapshotError::InvalidArgument(_))));
+    assert_eq!(storage.contents(), before, "a rejected open leaves the storage as it was");
+
+    let fresh = MemStorage::new();
+    let got = DurableEngine::open(fvl, Box::new(fresh.clone()), 0);
+    assert!(matches!(got, Err(SnapshotError::InvalidArgument(_))));
+    assert_eq!(fresh.contents(), (None, Vec::new()), "no base is bootstrapped");
 }

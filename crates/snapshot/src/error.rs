@@ -30,6 +30,9 @@ pub enum SnapshotError {
         /// Byte offset of the damaged frame within the log stream.
         offset: u64,
     },
+    /// The caller asked for something no stream can satisfy (for example
+    /// a zero shard capacity). Raised before any byte is read or written.
+    InvalidArgument(&'static str),
 }
 
 impl SnapshotError {
@@ -48,6 +51,7 @@ impl SnapshotError {
             SnapshotError::SpecMismatch { .. } => "spec_mismatch",
             SnapshotError::Malformed(_) => "malformed",
             SnapshotError::LogCorrupted { .. } => "log_corrupted",
+            SnapshotError::InvalidArgument(_) => "invalid_argument",
         }
     }
 }
@@ -74,6 +78,7 @@ impl std::fmt::Display for SnapshotError {
             SnapshotError::LogCorrupted { offset } => {
                 write!(f, "op-log frame at byte {offset} is corrupted (not a torn tail)")
             }
+            SnapshotError::InvalidArgument(what) => write!(f, "invalid argument: {what}"),
         }
     }
 }
