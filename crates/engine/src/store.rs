@@ -11,9 +11,23 @@
 //!
 //! [`LabelStore`] exploits that: paths are interned into a trie keyed by
 //! `(parent node, edge label)`, so every shared prefix is stored exactly
-//! once per shard. A stored label is then two `(path node, port)` pairs
-//! packed into 12 bytes, and an [`ItemId`] is a dense index suitable for
-//! slicing, batching and bitmap bookkeeping.
+//! once per shard. A trie node is 12 bytes — its parent plus the edge
+//! packed into one 64-bit word — and a stored label is two `(path node,
+//! port)` pairs packed into 12 bytes, so an [`ItemId`] is a dense index
+//! suitable for slicing, batching and bitmap bookkeeping.
+//!
+//! # Packed edges
+//!
+//! An [`EdgeLabel`] is 24 bytes (`Rec` carries a `u64` chain index). In a
+//! trie node it is packed into 64 bits: a 2-bit tag, then fixed-width
+//! fields — `Plain` holds `k` and `i` in 31 bits each, `Rec` holds `s` and
+//! `t` in 11 bits each and `i` in 40. An edge whose fields do not fit (a
+//! snapshot may legally carry a `Rec` chain index up to `u64::MAX`) goes
+//! into its shard's escape table, deduplicated, and the word holds its
+//! index under a third tag. Every edge thus has exactly one word per
+//! shard, so `(parent, word)` is the unique key the tail's intern index
+//! and the snapshot loader's duplicate check hash. Paths are unpacked on
+//! the fly as they are walked.
 //!
 //! # Sharding (the generational-engine contract)
 //!
@@ -39,31 +53,36 @@
 //! # Sealed and tail shards
 //!
 //! A shard is *sealed* by the insert that fills it: no later insert can
-//! reach it, so its `(parent, edge) → node` intern index is dropped and
-//! its node and label tables are cut to exact length. A sealed shard is
-//! two flat creation-order arrays — parent-pointer trie nodes and the
-//! label table — and nothing else. Only the last, not-yet-full *tail*
-//! shard keeps an intern index. Sealing needs no flag: "non-tail shards
-//! are exactly full" already says which shards are sealed.
+//! reach it, so its intern indexes are dropped and its node, escape and
+//! label tables move into exact-length allocations. A sealed shard is flat
+//! creation-order arrays — 12-byte parent-pointer trie nodes, the
+//! (usually empty) escape table and the label table — and nothing else.
+//! Only the last, not-yet-full *tail* shard keeps an intern index. Sealing
+//! needs no flag: "non-tail shards are exactly full" already says which
+//! shards are sealed.
 //!
 //! The on-disk format is *unchanged* from the single-blob store:
 //! [`LabelStore::write_snapshot`] merges the per-shard tries back into the
 //! one creation-order trie of the §5 wire format (byte-identical to what
 //! the pre-shard store wrote, since labels are always interned in id
-//! order). [`LabelStore::read_snapshot_with_capacity`] decodes and checks
-//! that trie once, then fills the shards directly: each label's nodes are
-//! mapped into its shard through a dense merged→local array, creating a
-//! local node parent-first the first time the shard sees it. That is the
-//! node order insertion builds, with no per-label path or hash lookup.
-//! Old streams load into sharded stores; new streams load in old readers.
+//! order). It maps each shard's nodes into the merged trie once per node,
+//! through a dense local→merged array, rather than re-interning every
+//! label's path. [`LabelStore::read_snapshot_with_capacity`] decodes and
+//! checks that trie once, then fills the shards directly: each label's
+//! nodes are mapped into its shard through a dense merged→local array,
+//! creating a local node parent-first the first time the shard sees it.
+//! That is the node order insertion builds, with no per-label path or
+//! hash lookup. Old streams load into sharded stores; new streams load in
+//! old readers.
 
 use crate::error::EngineError;
 use std::collections::{HashMap, HashSet};
+use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 use wf_analysis::ProdGraph;
 use wf_bitio::{BitReader, BitWriter};
 use wf_core::{DataLabel, LabelCodec, LabelRef, PortLabel, PortRef};
-use wf_model::{Grammar, ModuleId};
+use wf_model::{Grammar, ModuleId, ProdId};
 use wf_run::EdgeLabel;
 use wf_snapshot::{edge_target_module, SnapshotError};
 
@@ -73,6 +92,85 @@ pub struct ItemId(pub u32);
 
 /// Sentinel parent of the trie root (the empty path).
 const ROOT: u32 = u32::MAX;
+
+/// One trie node: its parent and the packed edge from that parent (see
+/// the module docs). The 64-bit edge word is held as two `u32` halves,
+/// low first, so the node is 12 bytes with 4-byte alignment rather than
+/// 16 with 8.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+struct Node {
+    parent: u32,
+    edge: [u32; 2],
+}
+
+impl Node {
+    fn new(parent: u32, word: u64) -> Self {
+        Self { parent, edge: [word as u32, (word >> 32) as u32] }
+    }
+
+    fn word(self) -> u64 {
+        (self.edge[1] as u64) << 32 | self.edge[0] as u64
+    }
+}
+
+/// Hashes the 12 bytes of the node once each (a derived impl would add
+/// the array's length prefix).
+impl Hash for Node {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u32(self.parent);
+        state.write_u64(self.word());
+    }
+}
+
+/// Tags of a packed edge word (its top two bits).
+const TAG_PLAIN: u64 = 0;
+const TAG_REC: u64 = 1;
+const TAG_ESCAPED: u64 = 2;
+const TAG_SHIFT: u32 = 62;
+
+/// Field widths of the inline forms; the three `Rec` fields fill the 62
+/// bits below the tag, as do `Plain`'s two.
+const PLAIN_BITS: u32 = 31;
+const REC_ST_BITS: u32 = 11;
+const REC_I_BITS: u32 = 40;
+
+const fn mask(bits: u32) -> u64 {
+    (1 << bits) - 1
+}
+
+/// `e` packed inline, or `None` if a field is too wide for its slot.
+fn pack_inline(e: EdgeLabel) -> Option<u64> {
+    match e {
+        EdgeLabel::Plain { k, i } => {
+            let (k, i) = (k.0 as u64, i as u64);
+            (k <= mask(PLAIN_BITS) && i <= mask(PLAIN_BITS))
+                .then_some(TAG_PLAIN << TAG_SHIFT | k << PLAIN_BITS | i)
+        }
+        EdgeLabel::Rec { s, t, i } => {
+            let (s, t) = (s as u64, t as u64);
+            (s <= mask(REC_ST_BITS) && t <= mask(REC_ST_BITS) && i <= mask(REC_I_BITS)).then_some(
+                TAG_REC << TAG_SHIFT | s << (REC_ST_BITS + REC_I_BITS) | t << REC_I_BITS | i,
+            )
+        }
+    }
+}
+
+/// Inverse of [`pack_inline`]; an escaped word yields its escape-table
+/// index as the error.
+fn unpack_inline(word: u64) -> Result<EdgeLabel, u32> {
+    match word >> TAG_SHIFT {
+        TAG_PLAIN => Ok(EdgeLabel::Plain {
+            k: ProdId((word >> PLAIN_BITS & mask(PLAIN_BITS)) as u32),
+            i: (word & mask(PLAIN_BITS)) as u32,
+        }),
+        TAG_REC => Ok(EdgeLabel::Rec {
+            s: (word >> (REC_ST_BITS + REC_I_BITS) & mask(REC_ST_BITS)) as u32,
+            t: (word >> REC_I_BITS & mask(REC_ST_BITS)) as u32,
+            i: word & mask(REC_I_BITS),
+        }),
+        _ => Err(word as u32),
+    }
+}
 
 /// One stored label: `(path node, port)` per side, either side absent
 /// (mirroring [`DataLabel`]'s boundary cases). Path nodes index the owning
@@ -117,46 +215,90 @@ impl StoredLabel {
 /// that contains it.
 #[derive(Clone, Default)]
 struct Shard {
-    /// Trie node → (parent node, edge). Node ids are creation-ordered and
-    /// local to this shard; parents always precede their children.
-    nodes: Vec<(u32, EdgeLabel)>,
-    /// `(parent, edge) → node` — the interning index. Only the tail shard
-    /// keeps one; [`Shard::seal`] empties it.
-    intern: HashMap<(u32, EdgeLabel), u32>,
+    /// Trie nodes, 12 bytes each. Node ids are creation-ordered and local
+    /// to this shard; parents always precede their children.
+    nodes: Vec<Node>,
+    /// Edges too wide to pack inline, each once, in first-use order; an
+    /// escaped node's edge word holds its index here.
+    escaped: Vec<EdgeLabel>,
+    /// `node → id` — the interning index over `(parent, edge word)`. Only
+    /// the tail shard keeps one; [`Shard::seal`] empties it.
+    intern: HashMap<Node, u32>,
+    /// `edge → index` into `escaped`, which keeps every edge at a single
+    /// word per shard. Tail only, like `intern`.
+    escape_index: HashMap<EdgeLabel, u32>,
     labels: Vec<StoredLabel>,
     /// Total edges across this shard's labels *before* sharing (metric).
     raw_edges: usize,
 }
 
 impl Shard {
-    fn try_intern_path(&mut self, path: &[EdgeLabel], cap: u32) -> Result<u32, EngineError> {
-        let mut cur = ROOT;
-        for &e in path {
-            cur = match self.intern.get(&(cur, e)) {
-                Some(&n) => n,
-                None => {
-                    let n = self.nodes.len() as u32;
-                    if n >= cap {
-                        return Err(EngineError::StoreFull {
-                            what: "trie node",
-                            capacity: cap as u64,
-                        });
-                    }
-                    self.nodes.push((cur, e));
-                    self.intern.insert((cur, e), n);
-                    n
-                }
-            };
+    /// The edge word of `e` in this shard, if it has one: inline, or the
+    /// index of an escape entry `e` already has.
+    fn find_word(&self, e: EdgeLabel) -> Option<u64> {
+        pack_inline(e)
+            .or_else(|| self.escape_index.get(&e).map(|&idx| TAG_ESCAPED << TAG_SHIFT | idx as u64))
+    }
+
+    /// The edge word of `e` in this shard, adding an escape entry if `e`
+    /// needs one and has none yet.
+    fn intern_word(&mut self, e: EdgeLabel) -> u64 {
+        pack_inline(e).unwrap_or_else(|| {
+            // Entries are distinct node edges, so the count stays in u32.
+            let next = self.escaped.len() as u32;
+            let idx = *self.escape_index.entry(e).or_insert_with(|| {
+                self.escaped.push(e);
+                next
+            });
+            TAG_ESCAPED << TAG_SHIFT | idx as u64
+        })
+    }
+
+    /// The edge into node `n`, unpacked.
+    fn edge(&self, n: Node) -> EdgeLabel {
+        unpack_inline(n.word()).unwrap_or_else(|idx| self.escaped[idx as usize])
+    }
+
+    /// Appends node `(parent, e)` without interning it; the caller knows
+    /// the key is new.
+    fn push(&mut self, parent: u32, e: EdgeLabel) -> u32 {
+        let n = self.nodes.len() as u32;
+        let word = self.intern_word(e);
+        self.nodes.push(Node::new(parent, word));
+        n
+    }
+
+    /// The id of node `(parent, e)`, interning it if new; at most `cap`
+    /// nodes.
+    fn try_intern_edge(&mut self, parent: u32, e: EdgeLabel, cap: u32) -> Result<u32, EngineError> {
+        let found = self.find_word(e).and_then(|w| self.intern.get(&Node::new(parent, w)));
+        if let Some(&n) = found {
+            return Ok(n);
         }
-        Ok(cur)
+        if self.nodes.len() as u64 >= cap as u64 {
+            return Err(EngineError::StoreFull { what: "trie node", capacity: cap as u64 });
+        }
+        let n = self.push(parent, e);
+        self.intern.insert(self.nodes[n as usize], n);
+        Ok(n)
+    }
+
+    fn try_intern_path(&mut self, path: &[EdgeLabel], cap: u32) -> Result<u32, EngineError> {
+        path.iter().try_fold(ROOT, |cur, &e| self.try_intern_edge(cur, e, cap))
     }
 
     /// Seals a full shard: nothing can be interned into it again, so the
-    /// intern index goes and both tables are cut to exact length.
+    /// intern indexes go and every table moves into an exact-length
+    /// allocation. Copying rather than shrinking in place frees each whole
+    /// growth buffer for the next shard's growth to reuse; a buffer shrunk
+    /// in place leaves its freed tail pinned between live tables, resident
+    /// but unusable.
     fn seal(&mut self) {
         self.intern = HashMap::new();
-        self.nodes.shrink_to_fit();
-        self.labels.shrink_to_fit();
+        self.escape_index = HashMap::new();
+        self.nodes = self.nodes.to_vec();
+        self.escaped = self.escaped.to_vec();
+        self.labels = self.labels.to_vec();
     }
 
     /// Builds the intern index of a tail shard whose nodes were filled
@@ -170,9 +312,9 @@ impl Shard {
     fn write_path(&self, mut node: u32, buf: &mut Vec<EdgeLabel>) {
         buf.clear();
         while node != ROOT {
-            let (parent, e) = self.nodes[node as usize];
-            buf.push(e);
-            node = parent;
+            let n = self.nodes[node as usize];
+            buf.push(self.edge(n));
+            node = n.parent;
         }
         buf.reverse();
     }
@@ -400,27 +542,32 @@ impl LabelStore {
     /// nodes in creation order (so shared prefixes stay shared on disk —
     /// each node is its parent link plus one edge in the §5 wire format),
     /// then the dense label table, then the raw-edge metric. Per-shard
-    /// tries are merged back into one creation-order trie by re-interning
-    /// every label in id order — labels are only ever interned in id
-    /// order, so the merged trie is *identical* to what the pre-shard
-    /// store wrote and snapshots stay byte-compatible in both directions.
-    /// Node references use a γ-coded `root+1 / node+2` scheme because a
-    /// stored path can legitimately be the *empty* path (boundary items of
-    /// the start production point at the trie root).
+    /// tries are merged back into one creation-order trie: walking the
+    /// labels in id order, each shard node a label reaches is mapped into
+    /// the merged trie once, missing ancestors first, through a dense
+    /// local→merged array. That creates merged nodes in the order
+    /// re-interning every label's path would — labels are only ever
+    /// interned in id order — so the merged trie is *identical* to what
+    /// the pre-shard store wrote and snapshots stay byte-compatible in
+    /// both directions. Node references use a γ-coded `root+1 / node+2`
+    /// scheme because a stored path can legitimately be the *empty* path
+    /// (boundary items of the start production point at the trie root).
     pub fn write_snapshot(&self, codec: &LabelCodec, w: &mut BitWriter) {
         let mut merged = Shard::default();
         let mut labels: Vec<StoredLabel> = Vec::with_capacity(self.len);
-        let mut buf = Vec::new();
+        let mut map = NodeMap::new(0);
         let mut raw_edges = 0usize;
         for shard in &self.shards {
             raw_edges += shard.raw_edges;
+            map.next_source(shard.nodes.len());
             for l in &shard.labels {
                 let mut side = |side: Option<(u32, u8)>| {
                     side.map(|(node, port)| {
-                        shard.write_path(node, &mut buf);
-                        let n = merged
-                            .try_intern_path(&buf, ROOT)
-                            .expect("merged trie cannot exceed the per-shard id space");
+                        let n = map.map(node, shard, &mut merged, |merged, parent, e| {
+                            merged
+                                .try_intern_edge(parent, e, ROOT)
+                                .expect("merged trie cannot exceed the per-shard id space")
+                        });
                         (n, port)
                     })
                 };
@@ -429,9 +576,9 @@ impl LabelStore {
             }
         }
         w.write_gamma(merged.nodes.len() as u64 + 1);
-        for &(parent, e) in &merged.nodes {
-            w.write_gamma(node_code(parent));
-            codec.write_edge(w, &e);
+        for &n in &merged.nodes {
+            w.write_gamma(node_code(n.parent));
+            codec.write_edge(w, &merged.edge(n));
         }
         w.write_gamma(labels.len() as u64 + 1);
         for l in &labels {
@@ -493,7 +640,7 @@ impl LabelStore {
             return Err(SnapshotError::Malformed("trie larger than the id space"));
         }
         let reserve = node_count.min(1 << 20);
-        let mut nodes: Vec<(u32, EdgeLabel)> = Vec::with_capacity(reserve);
+        let mut merged = Shard { nodes: Vec::with_capacity(reserve), ..Shard::default() };
         // Per node: the module its path ends at — what its labels' ports
         // index into — and its depth, the raw edges each reference to it
         // counts. The root (the empty path) ends at the start module.
@@ -515,10 +662,11 @@ impl LabelStore {
             // trie would feed π mismatched matrix dimensions.
             let (parent_module, parent_depth) = end_of(&ends, parent);
             let module = edge_target_module(grammar, cycles, parent_module, e)?;
-            if !seen.insert((parent, e)) {
+            let n = Node::new(parent, merged.intern_word(e));
+            if !seen.insert(n) {
                 return Err(SnapshotError::Malformed("duplicate trie edge"));
             }
-            nodes.push((parent, e));
+            merged.nodes.push(n);
             ends.push((module, parent_depth + 1));
         }
         drop(seen);
@@ -555,7 +703,8 @@ impl LabelStore {
             let mut local = |side: Option<(u32, u8)>| {
                 side.map(|(node, port)| {
                     shard.raw_edges += end_of(&ends, node).1;
-                    (map.local(node, &nodes, &mut shard), port)
+                    let local = map.map(node, &merged, &mut shard, Shard::push);
+                    (local, port)
                 })
             };
             let (out, inp) = (local(out), local(inp));
@@ -563,7 +712,7 @@ impl LabelStore {
             if shard.labels.len() == cap {
                 shard.seal();
                 store.shards.push(Arc::new(std::mem::take(&mut shard)));
-                map.next_shard();
+                map.next_source(0);
             }
         }
         if !shard.labels.is_empty() {
@@ -600,43 +749,55 @@ impl Default for LabelStore {
     }
 }
 
-/// The snapshot loader's merged→local node map for the shard being
-/// filled: merged node `m` is local node `slots[m].1` of that shard iff
-/// `slots[m].0` is its stamp, so moving on to the next shard is one
-/// increment rather than a clear.
+/// A dense node map from a source trie into a trie being built: source
+/// node `m` is target node `slots[m].1` iff `slots[m].0` is the current
+/// stamp, so starting over is one increment rather than a clear. The
+/// snapshot loader maps the merged trie into each shard it fills (one
+/// stamp per shard); the writer maps each shard into the merged trie (one
+/// stamp per source shard).
 struct NodeMap {
     slots: Vec<(u32, u32)>,
     stamp: u32,
-    /// Scratch: the merged nodes a lookup still has to create, leaf first.
+    /// Scratch: the source nodes a lookup still has to map, leaf first.
     missing: Vec<u32>,
 }
 
 impl NodeMap {
-    fn new(node_count: usize) -> Self {
-        Self { slots: vec![(0, 0); node_count], stamp: 1, missing: Vec::new() }
+    fn new(source_len: usize) -> Self {
+        Self { slots: vec![(0, 0); source_len], stamp: 1, missing: Vec::new() }
     }
 
-    /// The local id in `shard` of merged node `node` (the root maps to
-    /// itself). A node the shard lacks is created with every missing
-    /// ancestor, parent first, as interning its path would.
-    fn local(&mut self, node: u32, merged: &[(u32, EdgeLabel)], shard: &mut Shard) -> u32 {
+    /// Forgets every mapping and makes room for a source of `source_len`
+    /// nodes.
+    fn next_source(&mut self, source_len: usize) {
+        self.stamp += 1;
+        if self.slots.len() < source_len {
+            self.slots.resize(source_len, (0, 0));
+        }
+    }
+
+    /// The id in `target` of source node `node` (the root maps to itself).
+    /// A node not mapped yet is added with every unmapped ancestor, parent
+    /// first, by `add(target, target parent, edge)` — the order interning
+    /// its path would create them in.
+    fn map(
+        &mut self,
+        node: u32,
+        source: &Shard,
+        target: &mut Shard,
+        mut add: impl FnMut(&mut Shard, u32, EdgeLabel) -> u32,
+    ) -> u32 {
         let mut m = node;
         while m != ROOT && self.slots[m as usize].0 != self.stamp {
             self.missing.push(m);
-            m = merged[m as usize].0;
+            m = source.nodes[m as usize].parent;
         }
-        let mut local = if m == ROOT { ROOT } else { self.slots[m as usize].1 };
+        let mut mapped = if m == ROOT { ROOT } else { self.slots[m as usize].1 };
         while let Some(m) = self.missing.pop() {
-            let n = shard.nodes.len() as u32;
-            shard.nodes.push((local, merged[m as usize].1));
-            self.slots[m as usize] = (self.stamp, n);
-            local = n;
+            mapped = add(target, mapped, source.edge(source.nodes[m as usize]));
+            self.slots[m as usize] = (self.stamp, mapped);
         }
-        local
-    }
-
-    fn next_shard(&mut self) {
-        self.stamp += 1;
+        mapped
     }
 }
 
@@ -670,6 +831,8 @@ mod tests {
     use wf_core::Fvl;
     use wf_model::fixtures::paper_example;
     use wf_run::fixtures::figure3_run;
+
+    const _: () = assert!(std::mem::size_of::<Node>() == 12);
 
     #[test]
     fn roundtrips_every_figure3_label() {
@@ -713,20 +876,28 @@ mod tests {
         }
     }
 
-    /// Whether `shard` has the sealed layout: exactly full, no intern
-    /// entries, and node and label tables cut to exact length.
+    /// Whether `shard` has the sealed layout: exactly full, no intern or
+    /// escape-index entries, and node, escape and label tables cut to
+    /// exact length.
     fn is_sealed(shard: &Shard, cap: u32) -> bool {
         shard.labels.len() == cap as usize
-            && shard.intern.is_empty()
             && shard.intern.capacity() == 0
+            && shard.escape_index.capacity() == 0
             && shard.nodes.len() == shard.nodes.capacity()
+            && shard.escaped.len() == shard.escaped.capacity()
             && shard.labels.len() == shard.labels.capacity()
     }
 
-    /// Every non-tail shard is sealed, and the tail (if not full) interns
-    /// exactly its own nodes.
+    /// Every shard's escape table holds distinct edges that do not pack
+    /// inline, every non-tail shard is sealed, and the tail (if not full)
+    /// interns exactly its own nodes and escape entries.
     fn assert_sealed_layout(store: &LabelStore, what: &str) {
         let cap = store.shard_capacity();
+        for (k, shard) in store.shards.iter().enumerate() {
+            let distinct: HashSet<_> = shard.escaped.iter().collect();
+            assert_eq!(distinct.len(), shard.escaped.len(), "{what}: cap {cap} shard {k} escapes");
+            assert!(shard.escaped.iter().all(|&e| pack_inline(e).is_none()), "{what}: shard {k}");
+        }
         let (tail, sealed) = store.shards.split_last().expect("a non-empty store");
         for (k, shard) in sealed.iter().enumerate() {
             assert!(is_sealed(shard, cap), "{what}: cap {cap} shard {k} is not sealed");
@@ -738,7 +909,51 @@ mod tests {
             for (n, key) in tail.nodes.iter().enumerate() {
                 assert_eq!(tail.intern.get(key), Some(&(n as u32)), "{what}: cap {cap} node {n}");
             }
+            assert_eq!(tail.escape_index.len(), tail.escaped.len(), "{what}: cap {cap} escapes");
+            for (i, e) in tail.escaped.iter().enumerate() {
+                assert_eq!(tail.escape_index.get(e), Some(&(i as u32)), "{what}: cap {cap}");
+            }
         }
+    }
+
+    /// Inserts `labels` at `cap`, checks the sealed layout, then writes a
+    /// snapshot, loads it back at the same capacity and asserts the loaded
+    /// store is the *same* layout — per-shard node, escape and label
+    /// tables, raw-edge counts and tail indexes equal to what `insert_all`
+    /// built. Returns the inserted store and the snapshot bytes.
+    fn assert_load_matches_insert(
+        labels: &[DataLabel],
+        fvl: &Fvl,
+        grammar: &Grammar,
+        cap: u32,
+    ) -> (LabelStore, wf_bitio::BitVec) {
+        let mut built = LabelStore::with_shard_capacity(cap);
+        built.insert_all(labels);
+        assert_sealed_layout(&built, "inserted");
+        let mut wr = BitWriter::new();
+        built.write_snapshot(fvl.codec(), &mut wr);
+        let bits = wr.finish();
+        let mut r = BitReader::new(&bits);
+        let loaded = LabelStore::read_snapshot_with_capacity(
+            &mut r,
+            fvl.codec(),
+            grammar,
+            fvl.prod_graph(),
+            cap,
+        )
+        .unwrap();
+        assert_eq!(r.remaining(), 0);
+        assert_sealed_layout(&loaded, "loaded");
+        assert_eq!((loaded.len(), loaded.shard_count()), (built.len(), built.shard_count()));
+        for (k, (a, b)) in built.shards.iter().zip(&loaded.shards).enumerate() {
+            assert_eq!(a.nodes, b.nodes, "cap {cap} shard {k} nodes");
+            assert_eq!(a.escaped, b.escaped, "cap {cap} shard {k} escape table");
+            assert_eq!(a.labels, b.labels, "cap {cap} shard {k} labels");
+            assert_eq!(a.raw_edges, b.raw_edges, "cap {cap} shard {k} raw edges");
+            assert_eq!(a.intern, b.intern, "cap {cap} shard {k} intern index");
+            assert_eq!(a.escape_index, b.escape_index, "cap {cap} shard {k} escape index");
+        }
+        (built, bits)
     }
 
     /// A BioAID run with a few full 4096-item shards, for layout pins at
@@ -764,30 +979,165 @@ mod tests {
         let fvl = Fvl::new(&w.spec).unwrap();
         assert!(labels.len() > 2 * 4096, "two full default shards plus a tail");
         for cap in [1u32, 3, 8, 4096, u32::MAX] {
-            let mut built = LabelStore::with_shard_capacity(cap);
-            built.insert_all(&labels);
-            assert_sealed_layout(&built, "inserted");
-            let mut wr = BitWriter::new();
-            built.write_snapshot(fvl.codec(), &mut wr);
-            let bits = wr.finish();
-            let mut r = BitReader::new(&bits);
-            let loaded = LabelStore::read_snapshot_with_capacity(
-                &mut r,
-                fvl.codec(),
-                &w.spec.grammar,
-                fvl.prod_graph(),
-                cap,
-            )
-            .unwrap();
-            assert_eq!(r.remaining(), 0);
-            assert_sealed_layout(&loaded, "loaded");
-            assert_eq!((loaded.len(), loaded.shard_count()), (built.len(), built.shard_count()));
-            for (k, (a, b)) in built.shards.iter().zip(&loaded.shards).enumerate() {
-                assert_eq!(a.nodes, b.nodes, "cap {cap} shard {k} nodes");
-                assert_eq!(a.labels, b.labels, "cap {cap} shard {k} labels");
-                assert_eq!(a.raw_edges, b.raw_edges, "cap {cap} shard {k} raw edges");
-                assert_eq!(a.intern, b.intern, "cap {cap} shard {k} intern index");
+            assert_load_matches_insert(&labels, &fvl, &w.spec.grammar, cap);
+        }
+    }
+
+    /// Every edge field at its extreme packs and unpacks losslessly, and
+    /// exactly the edges whose fields overflow their slots escape.
+    #[test]
+    fn edge_words_roundtrip_and_escape_only_past_their_widths() {
+        let plain = |k: u32, i: u32| EdgeLabel::Plain { k: ProdId(k), i };
+        let rec = |s: u32, t: u32, i: u64| EdgeLabel::Rec { s, t, i };
+        let (p, st, ri) = (mask(PLAIN_BITS) as u32, mask(REC_ST_BITS) as u32, mask(REC_I_BITS));
+        for e in [plain(0, 0), plain(p, p), rec(0, 0, 0), rec(st, st, ri), rec(st, 0, ri)] {
+            let word = pack_inline(e).expect("fits inline");
+            assert_eq!(unpack_inline(word), Ok(e));
+        }
+        for e in [plain(p + 1, 0), plain(0, p + 1), rec(st + 1, 0, 0), rec(0, st + 1, 0)] {
+            assert_eq!(pack_inline(e), None, "{e:?}");
+        }
+        assert_eq!(pack_inline(rec(0, 0, ri + 1)), None);
+        assert_eq!(pack_inline(rec(u32::MAX, u32::MAX, u64::MAX)), None);
+    }
+
+    /// Labels whose edges need the escape table — fields at `u32::MAX`
+    /// and a chain index at `u64::MAX`, under several parents and mixed
+    /// with inline edges — insert, materialize, borrow and survive a
+    /// clone plus insert after a seal, at every capacity. Each escaped
+    /// edge is stored once per shard, so re-inserting a label adds no
+    /// node.
+    #[test]
+    fn escaped_edges_roundtrip_at_every_capacity() {
+        let wide_plain = EdgeLabel::Plain { k: ProdId(u32::MAX), i: u32::MAX };
+        let wide_rec = EdgeLabel::Rec { s: u32::MAX, t: u32::MAX, i: u64::MAX };
+        let small = |i: u32| EdgeLabel::Plain { k: ProdId(i % 3), i };
+        let label = |j: usize| {
+            let j32 = j as u32;
+            let out = match j % 4 {
+                0 => vec![wide_plain, wide_rec, small(j32 % 5)],
+                1 => vec![small(j32 % 7), wide_rec],
+                2 => vec![
+                    wide_rec,
+                    wide_plain,
+                    EdgeLabel::Rec { s: 1, t: 2, i: u64::MAX - j as u64 },
+                ],
+                _ => vec![],
+            };
+            let inp = (j % 3 != 0).then(|| PortLabel::new(vec![wide_plain, small(j32)], 1));
+            DataLabel { out: Some(PortLabel::new(out, (j % 4) as u8)), inp }
+        };
+        let labels: Vec<DataLabel> = (0..4096 + 5).map(label).collect();
+        for cap in [1u32, 3, 8, 4096, u32::MAX] {
+            let mut store = LabelStore::with_shard_capacity(cap);
+            let ids = store.insert_all(&labels);
+            assert_sealed_layout(&store, "escaped");
+            assert!(store.shards.iter().any(|s| !s.escaped.is_empty()), "cap {cap}");
+            let (mut ob, mut ib) = (Vec::new(), Vec::new());
+            for (i, d) in labels.iter().enumerate() {
+                assert_eq!(&store.materialize(ids[i]), d, "cap {cap} item {i}");
+                let r = store.label_ref(ids[i], &mut ob, &mut ib);
+                assert_eq!(
+                    r.out.map(|p| (p.path.to_vec(), p.port)),
+                    d.out.as_ref().map(|p| (p.path.clone(), p.port))
+                );
+                assert_eq!(
+                    r.inp.map(|p| (p.path.to_vec(), p.port)),
+                    d.inp.as_ref().map(|p| (p.path.clone(), p.port))
+                );
             }
+            // Re-inserting labels the tail already holds reuses its nodes
+            // and escape entries.
+            let mut staged = store.clone();
+            let tail = staged.shards.len() - 1;
+            let local = (staged.len() - 1) % cap as usize;
+            let (nodes, escapes) =
+                (staged.shards[tail].nodes.len(), staged.shards[tail].escaped.len());
+            if staged.shards[tail].labels.len() < cap as usize {
+                staged.insert(&labels[staged.len() - 1 - local]);
+                assert_eq!(staged.shards[tail].nodes.len(), nodes, "cap {cap}");
+                assert_eq!(staged.shards[tail].escaped.len(), escapes, "cap {cap}");
+            }
+            // After a seal: fill the tail, then a clone plus one insert
+            // opens a fresh tail and shares every sealed `Arc`.
+            if cap != u32::MAX {
+                while staged.len() % cap as usize != 0 {
+                    staged.insert(&labels[staged.len() % labels.len()]);
+                }
+                assert!(staged.shards.iter().all(|s| is_sealed(s, cap)), "cap {cap}");
+            }
+            let mut again = staged.clone();
+            let id = again.insert(&labels[0]);
+            assert_eq!(again.shards_touched_since(staged.len()), 1, "cap {cap}");
+            for (a, b) in staged.shards.iter().zip(&again.shards).take(staged.len() / cap as usize)
+            {
+                assert!(Arc::ptr_eq(a, b), "cap {cap}: sealed shards stay shared");
+            }
+            assert_sealed_layout(&again, "escaped, after a seal");
+            assert_eq!(&again.materialize(id), &labels[0], "cap {cap}");
+            let r = again.label_ref(id, &mut ob, &mut ib);
+            assert_eq!(
+                r.out.map(|p| p.path.to_vec()),
+                labels[0].out.as_ref().map(|p| p.path.clone())
+            );
+            for i in 0..staged.len() {
+                let id = ItemId(i as u32);
+                assert_eq!(again.materialize(id), staged.materialize(id), "cap {cap} item {i}");
+            }
+        }
+    }
+
+    /// A valid `Rec` edge whose chain index is at least 2^40 escapes but
+    /// changes nothing on the wire: the paper example plus copies of its
+    /// recursive labels with such indices writes the same bytes at every
+    /// capacity, and loads back into the inserted layout, escape tables
+    /// included.
+    #[test]
+    fn escaped_rec_edges_snapshot_to_identical_bytes_and_layout() {
+        let ex = paper_example();
+        let fvl = Fvl::new(&ex.spec).unwrap();
+        let (run, _) = figure3_run(&ex);
+        let mut labels = fvl.labeler(&run).labels().to_vec();
+        let cycles = fvl.prod_graph().cycles().unwrap();
+        // Keeping `i` modulo the cycle length keeps every later edge and
+        // the port valid.
+        let widen = |path: &mut Vec<EdgeLabel>| {
+            for e in path {
+                if let EdgeLabel::Rec { s, i, .. } = e {
+                    *i += (1 << REC_I_BITS) * cycles[*s as usize].len() as u64;
+                }
+            }
+        };
+        let wide: Vec<DataLabel> = labels
+            .iter()
+            .filter(|d| {
+                d.out
+                    .iter()
+                    .chain(&d.inp)
+                    .any(|p| p.path.iter().any(|e| matches!(e, EdgeLabel::Rec { .. })))
+            })
+            .map(|d| {
+                let mut d = d.clone();
+                d.out.iter_mut().chain(&mut d.inp).for_each(|p| widen(&mut p.path));
+                d
+            })
+            .collect();
+        assert!(!wide.is_empty(), "the Figure 3 run has recursive labels");
+        let interleaved: Vec<DataLabel> =
+            wide.iter().flat_map(|d| [d.clone(), labels[0].clone()]).collect();
+        labels.extend(interleaved);
+        let (store, single) = assert_load_matches_insert(&labels, &fvl, &ex.spec.grammar, u32::MAX);
+        assert!(!store.shards[0].escaped.is_empty(), "the widened edges escape");
+        for cap in [1u32, 3, 8] {
+            let (_, bits) = assert_load_matches_insert(&labels, &fvl, &ex.spec.grammar, cap);
+            assert_eq!(bits, single, "cap {cap} must write identical bytes");
+        }
+        let mut r = BitReader::new(&single);
+        let back =
+            LabelStore::read_snapshot(&mut r, fvl.codec(), &ex.spec.grammar, fvl.prod_graph())
+                .unwrap();
+        for (i, d) in labels.iter().enumerate() {
+            assert_eq!(&back.materialize(ItemId(i as u32)), d, "item {i}");
         }
     }
 
@@ -1000,9 +1350,9 @@ mod tests {
             let (run, _) = figure3_run(&ex);
             let mut s = LabelStore::new();
             s.insert_all(fvl.labeler(&run).labels());
-            let (parent, e) = s.shards[0].nodes[0];
+            let Node { parent, .. } = s.shards[0].nodes[0];
             assert_eq!(parent, ROOT);
-            e
+            s.shards[0].edge(s.shards[0].nodes[0])
         };
         // Two trie nodes with the same `(parent, edge)` key are invalid:
         // paths would no longer name nodes uniquely.
