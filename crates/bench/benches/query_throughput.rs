@@ -3,8 +3,9 @@
 //!
 //! The per-call path rebuilds the decode context and scratch every query
 //! (the seed repo's only mode); the session path reuses one
-//! [`wf_core::FvlSession`]; the batched path goes through the `wf-engine`
-//! registry + interned label store. Besides the Criterion printout, the
+//! [`wf_core::FvlSession`]; the batched path goes through a published
+//! `wf-engine` generation (registry + interned label store) and its frozen
+//! core. Besides the Criterion printout, the
 //! run writes `BENCH_query_throughput.json` into the working directory
 //! (the workspace root under `cargo bench`) so the numbers accumulate a
 //! perf trajectory across commits.
@@ -13,16 +14,17 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::fmt::Write as _;
+use std::sync::Arc;
 use wf_bench::{ns_per, Bench};
 use wf_core::{Fvl, VariantKind};
-use wf_engine::QueryEngine;
+use wf_engine::{EngineWriter, LiveEngine, WorkerScratch};
 use wf_workloads::queries::{sample_pairs, PairDist};
 
 const PAIRS: usize = 4096;
 
 fn bench_query_throughput(c: &mut Criterion) {
     let bench = Bench::fine(1);
-    let fvl = Fvl::new(&bench.workload.spec).unwrap();
+    let fvl = Arc::new(Fvl::from_arc(Arc::new(bench.workload.spec.clone())).unwrap());
     let run = bench.run_of(42, 8_000);
     let labeler = fvl.labeler(&run);
     let labels = labeler.labels();
@@ -33,8 +35,10 @@ fn bench_query_throughput(c: &mut Criterion) {
     let dist = PairDist::HotKey { hot_items: 64, hot_prob: 0.5 };
     let pairs = sample_pairs(&run, &mut rng, PAIRS, dist);
 
-    let mut engine = QueryEngine::new(&fvl);
-    let items = engine.insert_labels(labels);
+    let mut writer = EngineWriter::from_fvl(fvl.clone());
+    let items = writer.insert_labels(labels);
+    let live = LiveEngine::new(writer.base().clone());
+    let mut ws = WorkerScratch::new();
     let id_pairs: Vec<_> =
         pairs.iter().map(|&(a, b)| (items[a.0 as usize], items[b.0 as usize])).collect();
 
@@ -49,11 +53,13 @@ fn bench_query_throughput(c: &mut Criterion) {
     let variants = [VariantKind::SpaceEfficient, VariantKind::Default, VariantKind::QueryEfficient];
     for (vi, kind) in variants.into_iter().enumerate() {
         let vl = fvl.label_view(&view, kind).unwrap();
-        let vref = engine.register_view(view.clone(), kind).unwrap();
+        let vref = writer.register_view(view.clone(), kind).unwrap();
+        let gen = writer.publish(&live);
+        let core = gen.core();
 
         // Guard: the fast paths must agree with the reference before any
         // number is reported.
-        let batch = engine.query_batch(vref, &id_pairs);
+        let batch = gen.query_batch(&mut ws, vref, &id_pairs);
         let mut session_check = fvl.session(&vl);
         for (i, &(a, b)) in pairs.iter().enumerate() {
             let reference = fvl.query(&vl, &labels[a.0 as usize], &labels[b.0 as usize]);
@@ -74,10 +80,12 @@ fn bench_query_throughput(c: &mut Criterion) {
             session.query(&labels[a.0 as usize], &labels[b.0 as usize])
         });
         let mut out = Vec::with_capacity(id_pairs.len());
-        engine.query_batch_into(vref, &id_pairs, &mut out); // warm the scratch
+        let serve_batch = |ws: &mut WorkerScratch, out: &mut Vec<Option<bool>>| {
+            core.try_query_batch_into(ws, vref, &id_pairs, out).unwrap()
+        };
+        serve_batch(&mut ws, &mut out); // warm the scratch
         let rounds = 8usize;
-        let batch_ns = ns_per(rounds, |_| engine.query_batch_into(vref, &id_pairs, &mut out))
-            / id_pairs.len() as f64;
+        let batch_ns = ns_per(rounds, |_| serve_batch(&mut ws, &mut out)) / id_pairs.len() as f64;
 
         let _ = writeln!(
             json,
@@ -103,7 +111,7 @@ fn bench_query_throughput(c: &mut Criterion) {
             })
         });
         g.bench_function(format!("{kind:?}/batch{PAIRS}"), |b| {
-            b.iter(|| engine.query_batch_into(vref, &id_pairs, &mut out))
+            b.iter(|| serve_batch(&mut ws, &mut out))
         });
     }
     g.finish();

@@ -30,9 +30,8 @@ use crate::store::LabelStore;
 use std::io;
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
-use wf_bitio::BitReader;
 use wf_core::Fvl;
-use wf_snapshot::{read_container, spec_fingerprint, DurableLog, SnapshotError, Storage};
+use wf_snapshot::{read_container, DurableLog, SnapshotError, Storage};
 
 /// What [`DurableEngine::open`] found, healed and replayed.
 #[derive(Clone, Copy, Debug, Default)]
@@ -147,7 +146,6 @@ impl DurableEngine {
             shard_capacity,
         )?;
         let base_seqno = gen.seqno();
-        let expected = spec_fingerprint(&fvl.spec().grammar, fvl.prod_graph());
         let mut report = RecoveryReport {
             base_seqno,
             recovered_seqno: base_seqno,
@@ -159,15 +157,7 @@ impl DurableEngine {
                 report.stale_frames += 1;
                 continue;
             }
-            let container = read_container(&mut &payload[..])?;
-            if container.fingerprint != expected {
-                return Err(SnapshotError::SpecMismatch { expected, found: container.fingerprint });
-            }
-            let mut r = BitReader::new(&container.payload);
-            gen = gen.apply_delta(&mut r)?;
-            if r.remaining() != 0 {
-                return Err(SnapshotError::Malformed("trailing payload bits"));
-            }
+            gen = gen.apply_delta(&read_container(&mut &payload[..])?)?;
             if gen.seqno() != *seq {
                 return Err(SnapshotError::Malformed("frame seq tag does not match its delta"));
             }
@@ -180,9 +170,17 @@ impl DurableEngine {
 
     /// Append one publish's delta record under its seqno and fsync — the
     /// acknowledgement barrier. `Ok` means the record survives any crash
-    /// from here on.
+    /// from here on. A `seqno` that does not chain onto the newest durable
+    /// publish (a repeat or a gap) is [`io::ErrorKind::InvalidInput`],
+    /// returned before anything is written: such a frame would make the
+    /// next [`DurableEngine::open`] reject the whole store.
     pub fn append(&mut self, seqno: u64, record: &[u8]) -> io::Result<LogStatus> {
-        debug_assert_eq!(seqno, self.last_seqno + 1, "appends must chain");
+        if seqno != self.last_seqno + 1 {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!("append seqno {seqno} does not chain onto {}", self.last_seqno),
+            ));
+        }
         self.log.append(seqno, record)?;
         self.last_seqno = seqno;
         Ok(self.status())

@@ -1,26 +1,30 @@
 //! The frozen serving core: an immutable, `Sync` read path over a compiled
-//! engine, plus the per-worker mutable state that makes queries cheap.
+//! engine state, plus the per-worker mutable state that makes queries cheap.
 //!
-//! [`crate::QueryEngine`] is structurally single-threaded: its scratch,
-//! path buffers and chain-power memos are engine-owned, so `query` takes
-//! `&mut self` and a service built on it is capped at one core. The split
-//! here separates what a query *reads* from what it *mutates*:
+//! A query reads the registry, the label store and the scheme, and mutates
+//! only scratch: path buffers, pooled matrices and chain-power memos. The
+//! split here separates the two:
 //!
 //! * [`EngineCore`] — registry, label store and scheme references, all
 //!   accessed through `&self`. Every field is plain owned data (asserted
 //!   `Send + Sync` at compile time in `wf-core`/`wf-boolmat`), so one core
-//!   can be shared by any number of worker threads.
+//!   can be shared by any number of worker threads. A published
+//!   [`crate::EngineGeneration`] hands one out through
+//!   [`crate::EngineGeneration::core`]; [`EngineCore::new`] builds one
+//!   directly from the parts.
 //! * [`WorkerScratch`] — one worker's mutable state: the [`QueryScratch`]
 //!   (matrix pool + uid-keyed chain-power memo) and the four `EdgeLabel`
 //!   path buffers the store materializes borrowed labels into. Workers
 //!   never share scratches, so there is no locking anywhere on the query
 //!   path; each worker's memo warms up independently and stays warm.
 //!
-//! [`EngineCore::par_query_batch`] and [`EngineCore::par_all_pairs`] fan a
-//! workload out across `std::thread::scope` workers over contiguous shards
-//! and merge deterministically: results are written into (or concatenated
-//! in) shard order, so the output is element-for-element identical to the
-//! sequential path no matter the thread count or scheduling.
+//! Every entry point returns a typed [`EngineError`] for a bad view handle
+//! or item id. [`EngineCore::try_par_query_batch`] and
+//! [`EngineCore::try_par_all_pairs`] fan a workload out across
+//! `std::thread::scope` workers over contiguous shards and merge
+//! deterministically: results are written into (or concatenated in) shard
+//! order, so the output is element-for-element identical to the sequential
+//! path no matter the thread count or scheduling.
 
 use crate::error::EngineError;
 use crate::registry::{ViewRef, ViewRegistry};
@@ -118,9 +122,9 @@ fn sweep_rows(
 }
 
 /// The immutable half of a serving engine: everything a query reads,
-/// behind `&self`. Obtained from [`crate::QueryEngine::freeze`] (or built
-/// directly from the parts); holds only references, so freezing is free
-/// and many cores can coexist.
+/// behind `&self`. Obtained from [`crate::EngineGeneration::core`] (or
+/// built directly from the parts); holds only references, so freezing is
+/// free and many cores can coexist.
 #[derive(Clone, Copy)]
 pub struct EngineCore<'e> {
     fvl: &'e Fvl<'e>,
@@ -185,19 +189,6 @@ impl<'e> EngineCore<'e> {
         self.check_item(a)?;
         self.check_item(b)?;
         Ok(query_pair(self.store, &ctx, ws, a, b))
-    }
-
-    /// Panicking form of [`EngineCore::try_query`] for callers that own
-    /// their handles (compiled the view themselves, interned the items
-    /// themselves) — for those, an error is a bug, not an input.
-    pub fn query(
-        &self,
-        ws: &mut WorkerScratch,
-        view: ViewRef,
-        a: ItemId,
-        b: ItemId,
-    ) -> Option<bool> {
-        self.try_query(ws, view, a, b).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Answers a batch of pairs into `out` (cleared first), reusing one
@@ -352,16 +343,6 @@ impl<'e> EngineCore<'e> {
         Ok(out)
     }
 
-    /// Panicking form of [`EngineCore::try_par_query_batch`].
-    pub fn par_query_batch(
-        &self,
-        view: ViewRef,
-        pairs: &[(ItemId, ItemId)],
-        threads: usize,
-    ) -> Vec<Option<bool>> {
-        self.try_par_query_batch(view, pairs, threads).unwrap_or_else(|e| panic!("{e}"))
-    }
-
     /// [`EngineCore::try_all_pairs_into`] sharded by *rows* across scoped
     /// workers: each worker sweeps a contiguous range of `items` against
     /// all of `items`, collecting its dependent pairs locally; shards are
@@ -403,15 +384,5 @@ impl<'e> EngineCore<'e> {
                 .collect::<Vec<_>>()
         });
         Ok(shards.concat())
-    }
-
-    /// Panicking form of [`EngineCore::try_par_all_pairs`].
-    pub fn par_all_pairs(
-        &self,
-        view: ViewRef,
-        items: &[ItemId],
-        threads: usize,
-    ) -> Vec<(ItemId, ItemId)> {
-        self.try_par_all_pairs(view, items, threads).unwrap_or_else(|e| panic!("{e}"))
     }
 }

@@ -1,12 +1,12 @@
 //! The generational engine: owned, atomically-published generations that
 //! let writes land while reads keep flowing.
 //!
-//! [`crate::QueryEngine`] and [`crate::EngineCore`] are borrow-chained to
-//! one [`Fvl`] on one stack frame: correct, fast — and *static*. Any
-//! mutation (a new view, freshly labeled items) needs `&mut` access, which
-//! invalidates every frozen reader; a serving process would have to stop
-//! the world to grow. Real provenance stores never stop growing: runs are
-//! append-heavy, and views accrete as users search and refine them.
+//! [`crate::EngineCore`] is borrow-chained to one [`Fvl`], registry and
+//! store: correct, fast — and *static*. Any mutation (a new view, freshly
+//! labeled items) needs `&mut` access to the parts, which invalidates every
+//! frozen reader; a serving process would have to stop the world to grow.
+//! Real provenance stores never stop growing: runs are append-heavy, and
+//! views accrete as users search and refine them.
 //!
 //! The split here is RCU-shaped — readers pay nothing, writers pay copies:
 //!
@@ -32,16 +32,14 @@
 //!   drops. No reader ever blocks a writer, and a writer never blocks the
 //!   query path.
 //!
-//! Persistence is generation-aware: [`EngineGeneration::save`] writes a
-//! full base snapshot, [`EngineWriter::publish_with_delta`] appends a
-//! *delta record* (just what this publish added) to the same stream, and
-//! [`EngineGeneration::replay`] warm-starts by reading base ‖ delta ‖ …
-//! until end of stream — restart cost proportional to what changed, not to
-//! the store.
+//! Persistence is generation-aware and has one format:
+//! [`EngineGeneration::save`] writes a full base snapshot,
+//! [`EngineWriter::publish_with_delta`] appends a *delta record* (just what
+//! this publish added) to the same stream, [`EngineGeneration::load`]
+//! restores a base, and [`EngineGeneration::replay`] warm-starts by reading
+//! base ‖ delta ‖ … until end of stream — restart cost proportional to what
+//! changed, not to the store.
 
-use crate::engine::{
-    expect_section, read_engine_sections, write_engine_sections, SECTION_DELTA, SECTION_GENERATION,
-};
 use crate::error::EngineError;
 use crate::frozen::{EngineCore, WorkerScratch};
 use crate::registry::{ViewId, ViewRef, ViewRegistry};
@@ -56,9 +54,60 @@ use wf_core::{DataLabel, Fvl, FvlError, VariantKind};
 use wf_model::View;
 use wf_snapshot::{
     oplog::{self, OplogOp},
-    read_container, read_container_opt, read_label, spec_fingerprint, write_container,
+    read_container, read_container_opt, read_label, spec_fingerprint, write_container, Container,
     SnapshotError,
 };
+
+/// Section tags inside a snapshot payload (one byte each, in order). A
+/// base snapshot is [`SECTION_GENERATION`] ‖ seqno ‖ [`SECTION_STORE`] ‖
+/// store ‖ [`SECTION_REGISTRY`] ‖ registry; a delta record opens with
+/// [`SECTION_DELTA`]. A payload that opens with any other tag is rejected
+/// as malformed.
+const SECTION_STORE: u64 = 0x01;
+const SECTION_REGISTRY: u64 = 0x02;
+const SECTION_GENERATION: u64 = 0x03;
+const SECTION_DELTA: u64 = 0x04;
+
+/// The store + registry payload sections of a base snapshot.
+fn write_engine_sections(
+    fvl: &Fvl<'_>,
+    store: &LabelStore,
+    registry: &ViewRegistry,
+    w: &mut BitWriter,
+) {
+    w.write_bits(SECTION_STORE, 8);
+    store.write_snapshot(fvl.codec(), w);
+    w.write_bits(SECTION_REGISTRY, 8);
+    registry.write_snapshot(&fvl.spec().grammar, w);
+}
+
+/// Inverse of [`write_engine_sections`]. The wire format is shard-agnostic
+/// (one merged trie — see [`LabelStore::write_snapshot`]); `shard_capacity`
+/// is the layout the loaded store is re-sharded into.
+fn read_engine_sections(
+    fvl: &Fvl<'_>,
+    r: &mut BitReader<'_>,
+    shard_capacity: u32,
+) -> Result<(LabelStore, ViewRegistry), SnapshotError> {
+    expect_section(r, SECTION_STORE)?;
+    let store = LabelStore::read_snapshot_with_capacity(
+        r,
+        fvl.codec(),
+        &fvl.spec().grammar,
+        fvl.prod_graph(),
+        shard_capacity,
+    )?;
+    expect_section(r, SECTION_REGISTRY)?;
+    let registry = ViewRegistry::read_snapshot(r, &fvl.spec().grammar, fvl.prod_graph())?;
+    Ok((store, registry))
+}
+
+fn expect_section(r: &mut BitReader<'_>, tag: u64) -> Result<(), SnapshotError> {
+    if r.read_bits(8)? != tag {
+        return Err(SnapshotError::Malformed("unexpected section tag"));
+    }
+    Ok(())
+}
 
 /// One immutable, owned engine state: everything the read path needs, with
 /// no borrow reaching outside the `Arc` it is published in.
@@ -117,9 +166,9 @@ impl EngineGeneration {
         &self.registry
     }
 
-    /// The generation as a frozen serving core — the same lock-free,
-    /// `Sync`, `&self` read path [`crate::QueryEngine::freeze`] yields,
-    /// including the `par_*` fan-outs. Building one is free.
+    /// The generation as a frozen serving core: the lock-free, `Sync`,
+    /// `&self` read path, including the `try_par_*` fan-outs. Building one
+    /// is free.
     pub fn core(&self) -> EngineCore<'_> {
         EngineCore::new(self.fvl.as_ref(), &self.registry, &self.store)
     }
@@ -136,7 +185,8 @@ impl EngineGeneration {
     }
 
     /// A batch of pairs answered against this generation (allocating
-    /// convenience; panics on bad handles like [`crate::QueryEngine`]).
+    /// convenience; panics on bad handles — [`EngineCore::try_query_batch_into`]
+    /// is the typed form).
     pub fn query_batch(
         &self,
         ws: &mut WorkerScratch,
@@ -166,11 +216,15 @@ impl EngineGeneration {
         spec_fingerprint(&self.fvl.spec().grammar, self.fvl.prod_graph())
     }
 
-    /// Persists this generation as a *base* snapshot: seqno, then the same
-    /// store + registry sections a [`crate::QueryEngine`] snapshot carries,
-    /// under the versioned, checksummed container. Delta records appended
-    /// to the same stream by [`EngineWriter::publish_with_delta`] chain
-    /// onto it; [`EngineGeneration::replay`] restores the latest state.
+    /// Persists this generation as a *base* snapshot — seqno, the interned
+    /// label store (trie nodes in creation order, so shared prefixes stay
+    /// shared on disk), every registered view and every compiled label
+    /// including the Query-Efficient power caches — under the versioned,
+    /// checksummed `wf-snapshot` container. Scratch state (matrix pool,
+    /// chain-power memo) is not persisted: it rebuilds in a handful of
+    /// queries. Delta records appended to the same stream by
+    /// [`EngineWriter::publish_with_delta`] chain onto it;
+    /// [`EngineGeneration::replay`] restores the latest state.
     pub fn save(&self, to: &mut impl Write) -> Result<(), SnapshotError> {
         let mut w = BitWriter::new();
         w.write_bits(SECTION_GENERATION, 8);
@@ -181,7 +235,15 @@ impl EngineGeneration {
 
     /// Restores one base snapshot written by [`EngineGeneration::save`]
     /// (stopping at its end — see [`EngineGeneration::replay`] for the
-    /// base-plus-deltas form).
+    /// base-plus-deltas form) against the *same* specification: the header
+    /// fingerprint is checked before any payload bit is read, and a
+    /// snapshot of another spec is [`SnapshotError::SpecMismatch`].
+    ///
+    /// `ItemId`s and `ViewId`s are stable across save/load, and every
+    /// compiled `(view, variant)` arrives compiled — a warm start never
+    /// re-runs labeling, compilation or cycle-finding. Truncated, corrupted
+    /// or version-mismatched input yields a typed [`SnapshotError`]; this
+    /// constructor never panics on bad bytes.
     pub fn load(fvl: Arc<Fvl<'static>>, from: &mut impl Read) -> Result<Self, SnapshotError> {
         Self::load_with_shard_capacity(fvl, from, LabelStore::DEFAULT_SHARD_CAPACITY)
     }
@@ -237,31 +299,31 @@ impl EngineGeneration {
         shard_capacity: u32,
     ) -> Result<EngineGeneration, SnapshotError> {
         let mut gen = Self::load_with_shard_capacity(fvl, from, shard_capacity)?;
-        let expected = gen.fingerprint();
-        while let Some(container) = read_container_opt(from)? {
-            if container.fingerprint != expected {
-                return Err(SnapshotError::SpecMismatch { expected, found: container.fingerprint });
-            }
-            let mut r = BitReader::new(&container.payload);
-            gen = gen.apply_delta(&mut r)?;
-            if r.remaining() != 0 {
-                return Err(SnapshotError::Malformed("trailing payload bits"));
-            }
+        while let Some(record) = read_container_opt(from)? {
+            gen = gen.apply_delta(&record)?;
         }
         Ok(gen)
     }
 
-    /// Applies one decoded delta record, yielding the successor generation.
-    /// The payload is the op-log framing ([`wf_snapshot::oplog`]): the
-    /// increment as typed ops in the order the publisher applied them.
-    /// Replay reproduces exactly what was staged: labels re-intern into
-    /// the same dense ids, views re-register (structural dedup makes that
-    /// deterministic) and must land on their recorded ids, and compiled
-    /// labels install into empty slots only.
+    /// Applies one container-framed delta record, yielding the successor
+    /// generation — the one decode step shared by
+    /// [`EngineGeneration::replay`] and `DurableEngine::open`. The record
+    /// must carry this generation's spec fingerprint and no trailing
+    /// payload bits. Its payload is the op-log framing
+    /// ([`wf_snapshot::oplog`]): the increment as typed ops in the order the
+    /// publisher applied them. Replay reproduces exactly what was staged:
+    /// labels re-intern into the same dense ids, views re-register
+    /// (structural dedup makes that deterministic) and must land on their
+    /// recorded ids, and compiled labels install into empty slots only.
     pub(crate) fn apply_delta(
         &self,
-        r: &mut BitReader<'_>,
+        record: &Container,
     ) -> Result<EngineGeneration, SnapshotError> {
+        let expected = self.fingerprint();
+        if record.fingerprint != expected {
+            return Err(SnapshotError::SpecMismatch { expected, found: record.fingerprint });
+        }
+        let r = &mut BitReader::new(&record.payload);
         expect_section(r, SECTION_DELTA)?;
         let base = r.read_gamma()? - 1;
         let seqno = r.read_gamma()? - 1;
@@ -295,6 +357,9 @@ impl EngineGeneration {
                     registry.adopt_compiled(ViewId(id), label)?;
                 }
             }
+        }
+        if r.remaining() != 0 {
+            return Err(SnapshotError::Malformed("trailing payload bits"));
         }
         Ok(EngineGeneration { fvl: self.fvl.clone(), registry, store, seqno })
     }
@@ -358,8 +423,8 @@ impl EngineWriter {
     }
 
     /// Stages one data label; the returned id is valid from the next
-    /// publish on. Panicking on a full store, like
-    /// [`crate::QueryEngine::insert_label`].
+    /// publish on. Panics on a full store —
+    /// [`EngineWriter::try_insert_label`] is the typed form.
     pub fn insert_label(&mut self, d: &DataLabel) -> ItemId {
         self.try_insert_label(d).unwrap_or_else(|e| panic!("{e}"))
     }

@@ -317,3 +317,39 @@ fn zero_shard_capacity_is_a_typed_error_not_a_panic() {
     assert!(matches!(got, Err(SnapshotError::InvalidArgument(_))));
     assert_eq!(fresh.contents(), (None, Vec::new()), "no base is bootstrapped");
 }
+
+/// An append whose seqno does not chain onto the newest durable publish —
+/// a repeat or a gap — is refused with `InvalidInput` before anything is
+/// written, in every build profile. Had it been written, the next open
+/// would reject the whole store; instead the log is unchanged and a
+/// reopen recovers the last good seqno.
+#[test]
+fn non_chaining_append_is_rejected_before_anything_is_written() {
+    let w = bioaid(2);
+    let fvl = shared_fvl(&w);
+    let pg = ProdGraph::new(&w.spec.grammar);
+    let (_, run) = sample::sample_run(&w, &pg, &mut StdRng::seed_from_u64(2), 40);
+    let storage = MemStorage::new();
+    let (mut durable, gen0, _) =
+        DurableEngine::open(fvl.clone(), Box::new(storage.clone()), 64).unwrap();
+    let live = LiveEngine::new(gen0.clone());
+    let mut writer = EngineWriter::new(gen0);
+    writer.insert_labels(fvl.labeler(&run).labels());
+    let mut record = Vec::new();
+    let g1 = writer.publish_with_delta(&live, &mut record).unwrap();
+    durable.append(g1.seqno(), &record).unwrap();
+    let before = durable.status();
+
+    for bad_seqno in [g1.seqno(), g1.seqno() + 2] {
+        let err = durable.append(bad_seqno, &record).expect_err("non-chaining append");
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput, "seqno {bad_seqno}");
+        assert_eq!(durable.status().bytes, before.bytes, "seqno {bad_seqno} wrote bytes");
+        assert_eq!(durable.status().frames, before.frames, "seqno {bad_seqno} wrote a frame");
+        assert_eq!(durable.last_seqno(), g1.seqno());
+    }
+
+    let (_, recovered, report) = DurableEngine::open(fvl, Box::new(storage), 64).unwrap();
+    assert_eq!(recovered.seqno(), g1.seqno());
+    assert_eq!(report.replayed_frames, 1);
+    assert_eq!(save_bytes(&recovered), save_bytes(&g1));
+}

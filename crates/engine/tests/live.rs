@@ -11,7 +11,8 @@ use std::sync::Arc;
 use wf_analysis::ProdGraph;
 use wf_core::{Fvl, VariantKind};
 use wf_engine::{
-    EngineGeneration, EngineWriter, ItemId, LiveEngine, QueryEngine, SnapshotError, WorkerScratch,
+    EngineCore, EngineGeneration, EngineWriter, ItemId, LabelStore, LiveEngine, SnapshotError,
+    ViewRegistry, WorkerScratch,
 };
 use wf_workloads::churn::{churn_stream, ChurnOp, ChurnSpec};
 use wf_workloads::{bioaid, sample, views, Workload};
@@ -70,16 +71,21 @@ fn base_plus_deltas_replay_to_the_published_state() {
     assert_eq!(replayed.registry().view_count(), 2);
     assert_eq!(replayed.registry().compiled_count(), 3);
 
-    // Cold reference: one single-generation engine with everything.
-    let mut cold = QueryEngine::new(fvl.as_ref());
-    let items = cold.insert_labels(&labels);
-    let ca = cold.register_view(view_a, VariantKind::Default).unwrap();
-    let cb = cold.register_view(view_b, VariantKind::QueryEfficient).unwrap();
-    let ca_se = cold.compile(ca.id, VariantKind::SpaceEfficient).unwrap();
+    // Cold reference: one store and registry with everything, built from
+    // the parts (no writer, no publish).
+    let mut cold_store = LabelStore::new();
+    let items = cold_store.insert_all(&labels);
+    let mut cold_registry = ViewRegistry::new();
+    let (a, b) = (cold_registry.add_view(view_a), cold_registry.add_view(view_b));
+    let ca = cold_registry.compile(&fvl, a, VariantKind::Default).unwrap();
+    let cb = cold_registry.compile(&fvl, b, VariantKind::QueryEfficient).unwrap();
+    let ca_se = cold_registry.compile(&fvl, a, VariantKind::SpaceEfficient).unwrap();
+    let cold = EngineCore::new(&fvl, &cold_registry, &cold_store);
 
     let mut ws = WorkerScratch::new();
     for (live_ref, cold_ref) in [(ra, ca), (rb, cb), (ra_se, ca_se)] {
-        let expected = cold.all_pairs(cold_ref, &items);
+        let mut expected = Vec::new();
+        cold.try_all_pairs_into(&mut ws, cold_ref, &items, &mut expected).unwrap();
         assert_eq!(
             replayed.all_pairs(&mut ws, live_ref, &items),
             expected,
@@ -163,9 +169,9 @@ proptest! {
     /// Readers racing a writer that replays a *generated churn stream*
     /// (view-heavy and insert-heavy mixes from `wf-workloads::churn`,
     /// publishing every few ops): every batch a reader answers must be
-    /// element-identical to the answers of a sequential single-generation
-    /// [`QueryEngine`] built to the state of the generation the reader
-    /// was served — i.e. every observation is of *some* published
+    /// element-identical to the answers of a sequential [`EngineCore`]
+    /// over a store and registry built to the state of the generation the
+    /// reader was served — i.e. every observation is of *some* published
     /// generation, never a torn mix, regardless of how inserts, view
     /// registrations and publishes interleave.
     #[test]
@@ -294,17 +300,24 @@ proptest! {
             prop_assert_eq!(journal.last().unwrap().0, expected_final, "{:?}", mix);
 
             // Verify each observation against a sequential reference built
-            // to exactly that generation's journaled state.
+            // from the parts to exactly that generation's journaled state.
+            let mut ref_ws = WorkerScratch::new();
             for (seqno, label_count, view_seeds) in &journal {
-                let mut reference = QueryEngine::new(fvl.as_ref());
-                reference.insert_labels(&labels[..*label_count]);
-                let rref = reference.register_view(view0.clone(), kind).unwrap();
+                let mut store = LabelStore::new();
+                store.insert_all(&labels[..*label_count]);
+                let mut registry = ViewRegistry::new();
+                let id0 = registry.add_view(view0.clone());
+                let rref = registry.compile(&fvl, id0, kind).unwrap();
                 prop_assert_eq!(rref, vref, "handles are chain-stable");
                 for vseed in view_seeds {
                     let (view, vkind) = churn_view(&w, *vseed);
-                    reference.register_view(view, vkind).unwrap();
+                    let id = registry.add_view(view);
+                    registry.compile(&fvl, id, vkind).unwrap();
                 }
-                let expected = reference.query_batch(rref, &pairs);
+                let mut expected = Vec::new();
+                EngineCore::new(&fvl, &registry, &store)
+                    .try_query_batch_into(&mut ref_ws, rref, &pairs, &mut expected)
+                    .unwrap();
                 for (s, ans) in observations.iter().filter(|(s, _)| s == seqno) {
                     prop_assert_eq!(
                         ans,

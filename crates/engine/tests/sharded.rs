@@ -16,7 +16,10 @@ use rand::{Rng, SeedableRng};
 use std::sync::Arc;
 use wf_analysis::ProdGraph;
 use wf_core::{Fvl, VariantKind};
-use wf_engine::{EngineGeneration, EngineWriter, ItemId, LiveEngine, QueryEngine, WorkerScratch};
+use wf_engine::{
+    EngineCore, EngineGeneration, EngineWriter, ItemId, LabelStore, LiveEngine, ViewRegistry,
+    WorkerScratch,
+};
 use wf_workloads::churn::{churn_stream, ChurnOp, ChurnSpec, InsertLocality};
 use wf_workloads::{bioaid, sample, views, Workload};
 
@@ -113,26 +116,32 @@ proptest! {
             let mut stream = Vec::new();
             g1.save(&mut stream).unwrap();
 
-            // The single-shard sequential reference (the pre-shard store).
-            let mut reference = QueryEngine::with_shard_capacity(fvl.as_ref(), u32::MAX);
-            reference.insert_labels(&labels[..initial]);
-            let rref = reference.register_view(view0.clone(), kind).unwrap();
+            // The single-shard sequential reference (the pre-shard store),
+            // built from the parts: no staging, no publish.
+            let mut ref_store = LabelStore::with_shard_capacity(u32::MAX);
+            ref_store.insert_all(&labels[..initial]);
+            let mut ref_registry = ViewRegistry::new();
+            let id0 = ref_registry.add_view(view0.clone());
+            let rref = ref_registry.compile(&fvl, id0, kind).unwrap();
             prop_assert_eq!(rref, vref, "registration order fixes handles on both sides");
 
             let mut ws = WorkerScratch::new();
+            let mut ref_ws = WorkerScratch::new();
+            let mut expected = Vec::new();
             let mut next_label = initial;
             let mut view_refs = vec![vref];
             for (ix, op) in ops.iter().enumerate() {
                 match op {
                     ChurnOp::Insert { count } => {
                         writer.insert_labels(&labels[next_label..next_label + count]);
-                        reference.insert_labels(&labels[next_label..next_label + count]);
+                        ref_store.insert_all(&labels[next_label..next_label + count]);
                         next_label += count;
                     }
                     ChurnOp::RegisterView { seed: vseed } => {
                         let (view, vkind) = churn_view(&w, *vseed);
                         let a = writer.register_view(view.clone(), vkind).unwrap();
-                        let b = reference.register_view(view, vkind).unwrap();
+                        let id = ref_registry.add_view(view);
+                        let b = ref_registry.compile(&fvl, id, vkind).unwrap();
                         prop_assert_eq!(a, b);
                         view_refs.push(a);
                     }
@@ -140,10 +149,12 @@ proptest! {
                 }
                 if (ix + 1) % 3 == 0 && writer.has_staged_changes() {
                     let gen = writer.publish_with_delta(&live, &mut stream).unwrap();
+                    let reference = EngineCore::new(&fvl, &ref_registry, &ref_store);
                     for &vr in &view_refs {
+                        reference.try_query_batch_into(&mut ref_ws, vr, &pairs, &mut expected).unwrap();
                         prop_assert_eq!(
-                            gen.query_batch(&mut ws, vr, &pairs),
-                            reference.query_batch(vr, &pairs),
+                            &gen.query_batch(&mut ws, vr, &pairs),
+                            &expected,
                             "sharded (cap {}) diverges from single-shard at seqno {} on {:?}/{:?}",
                             cap, gen.seqno(), vr, kind
                         );
@@ -154,7 +165,10 @@ proptest! {
 
             // Element-identical over *every* ordered pair of every item.
             let items: Vec<ItemId> = (0..next_label as u32).map(ItemId).collect();
-            let expected = reference.all_pairs(vref, &items);
+            let mut expected = Vec::new();
+            EngineCore::new(&fvl, &ref_registry, &ref_store)
+                .try_all_pairs_into(&mut ref_ws, vref, &items, &mut expected)
+                .unwrap();
             prop_assert_eq!(
                 &final_gen.all_pairs(&mut ws, vref, &items), &expected,
                 "final all_pairs diverges (cap {}, {:?})", cap, kind

@@ -1,44 +1,58 @@
-//! Snapshot persistence: a loaded engine must be indistinguishable from the
-//! engine that wrote the snapshot — same answers, same ids, same trie — and
-//! bad bytes must be rejected with typed errors, never a panic.
+//! Snapshot persistence: a loaded generation must be indistinguishable from
+//! the generation that wrote the snapshot — same answers, same ids, same
+//! trie — and bad bytes must be rejected with typed errors, never a panic.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::sync::Arc;
 use wf_analysis::ProdGraph;
+use wf_bitio::BitWriter;
 use wf_core::{Fvl, VariantKind};
-use wf_engine::{QueryEngine, SnapshotError, ViewRef};
-use wf_workloads::{bioaid, sample, views};
+use wf_engine::{
+    EngineGeneration, EngineWriter, LiveEngine, SnapshotError, ViewRef, WorkerScratch,
+};
+use wf_snapshot::{spec_fingerprint, write_container};
+use wf_workloads::{bioaid, sample, views, Workload};
 
 const VARIANTS: [VariantKind; 3] =
     [VariantKind::SpaceEfficient, VariantKind::Default, VariantKind::QueryEfficient];
 
-/// Builds an engine with a labeled run and one view compiled under every
-/// variant, returning the snapshot bytes alongside.
+fn shared_fvl(w: &Workload) -> Arc<Fvl<'static>> {
+    Arc::new(Fvl::from_arc(Arc::new(w.spec.clone())).unwrap())
+}
+
+/// Publishes everything `writer` staged as the next generation.
+fn publish(writer: &mut EngineWriter) -> Arc<EngineGeneration> {
+    writer.publish(&LiveEngine::new(writer.base().clone()))
+}
+
+/// Builds a generation with a labeled run and one view compiled under
+/// every variant, returning its base-snapshot bytes.
 fn build_and_save(seed: u64, run_size: usize, view_size: usize) -> Vec<u8> {
     let w = bioaid(seed);
-    let fvl = Fvl::new(&w.spec).unwrap();
+    let fvl = shared_fvl(&w);
     let pg = ProdGraph::new(&w.spec.grammar);
     let mut rng = StdRng::seed_from_u64(seed);
     let (_, run) = sample::sample_run(&w, &pg, &mut rng, run_size);
     let labeler = fvl.labeler(&run);
     let view = views::random_safe_view(&w, &mut rng, view_size);
 
-    let mut engine = QueryEngine::new(&fvl);
-    engine.insert_labels(labeler.labels());
-    let vid = engine.add_view(view);
+    let mut writer = EngineWriter::from_fvl(fvl.clone());
+    writer.insert_labels(labeler.labels());
+    let vid = writer.add_view(view);
     for kind in VARIANTS {
-        engine.compile(vid, kind).unwrap();
+        writer.compile(vid, kind).unwrap();
     }
     let mut bytes = Vec::new();
-    engine.save(&mut bytes).unwrap();
+    publish(&mut writer).save(&mut bytes).unwrap();
     bytes
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// A snapshot-loaded engine answers `all_pairs` (and with it every
+    /// A snapshot-loaded generation answers `all_pairs` (and with it every
     /// pairwise query, visibility included) identically to a freshly
     /// labeled one, for all three variants. The item subset deliberately
     /// includes the run's boundary items — labels whose `out` or `inp`
@@ -50,23 +64,25 @@ proptest! {
         run_size in 40usize..200,
     ) {
         let w = bioaid(seed % 5);
-        let fvl = Fvl::new(&w.spec).unwrap();
+        let fvl = shared_fvl(&w);
         let pg = ProdGraph::new(&w.spec.grammar);
         let mut rng = StdRng::seed_from_u64(seed);
         let (_, run) = sample::sample_run(&w, &pg, &mut rng, run_size);
         let labeler = fvl.labeler(&run);
         let view = views::random_safe_view(&w, &mut rng, view_size);
 
-        let mut fresh = QueryEngine::new(&fvl);
-        let items = fresh.insert_labels(labeler.labels());
-        let vid = fresh.add_view(view);
+        let mut writer = EngineWriter::from_fvl(fvl.clone());
+        let items = writer.insert_labels(labeler.labels());
+        let vid = writer.add_view(view);
         for kind in VARIANTS {
-            fresh.compile(vid, kind).unwrap();
+            writer.compile(vid, kind).unwrap();
         }
+        let fresh = publish(&mut writer);
         let mut bytes = Vec::new();
         fresh.save(&mut bytes).unwrap();
-        let mut loaded = QueryEngine::load(&fvl, &mut bytes.as_slice()).unwrap();
+        let loaded = EngineGeneration::load(fvl.clone(), &mut bytes.as_slice()).unwrap();
 
+        prop_assert_eq!(loaded.seqno(), fresh.seqno());
         prop_assert_eq!(loaded.store().len(), fresh.store().len());
         prop_assert_eq!(loaded.store().edge_stats(), fresh.store().edge_stats());
         prop_assert_eq!(loaded.registry().view_count(), 1);
@@ -81,27 +97,27 @@ proptest! {
             .collect();
         subset.extend(items.iter().copied().step_by(5));
         subset.truncate(40);
+        let mut ws = WorkerScratch::new();
         for kind in VARIANTS {
             let vref = ViewRef { id: vid, kind };
             prop_assert_eq!(
-                loaded.all_pairs(vref, &subset),
-                fresh.all_pairs(vref, &subset),
+                loaded.all_pairs(&mut ws, vref, &subset),
+                fresh.all_pairs(&mut ws, vref, &subset),
                 "{:?}", kind
             );
         }
     }
 }
 
-/// Mutate-after-load: a loaded engine is a *live* engine, not a read-only
-/// replica. Inserting more labels and registering a new view after a load,
-/// then saving and loading again, must agree with a cold-built engine that
-/// saw everything from the start — ids, trie sharing and `all_pairs`
-/// answers included. (Before this pin, only pristine save→load was
-/// covered.)
+/// Mutate-after-load: a loaded generation is a *live* base, not a
+/// read-only replica. Inserting more labels and registering a new view on
+/// a writer over it, then saving and loading again, must agree with a
+/// cold-built generation that saw everything from the start — ids, trie
+/// sharing and `all_pairs` answers included.
 #[test]
 fn mutate_after_load_roundtrips_like_a_cold_engine() {
     let w = bioaid(9);
-    let fvl = Fvl::new(&w.spec).unwrap();
+    let fvl = shared_fvl(&w);
     let pg = ProdGraph::new(&w.spec.grammar);
     let mut rng = StdRng::seed_from_u64(9);
     let (_, run) = sample::sample_run(&w, &pg, &mut rng, 200);
@@ -112,16 +128,17 @@ fn mutate_after_load_roundtrips_like_a_cold_engine() {
     let view_b = views::random_safe_view(&w, &mut rng, 10);
 
     // Save with half the labels and one view…
-    let mut engine = QueryEngine::new(&fvl);
-    engine.insert_labels(&labels[..half]);
-    let va = engine.add_view(view_a.clone());
-    engine.compile(va, VariantKind::Default).unwrap();
+    let mut writer = EngineWriter::from_fvl(fvl.clone());
+    writer.insert_labels(&labels[..half]);
+    let va = writer.add_view(view_a.clone());
+    writer.compile(va, VariantKind::Default).unwrap();
     let mut bytes = Vec::new();
-    engine.save(&mut bytes).unwrap();
-    drop(engine);
+    publish(&mut writer).save(&mut bytes).unwrap();
+    drop(writer);
 
     // …load, grow (rest of the labels + a second view), save again…
-    let mut grown = QueryEngine::load(&fvl, &mut bytes.as_slice()).unwrap();
+    let loaded = EngineGeneration::load(fvl.clone(), &mut bytes.as_slice()).unwrap();
+    let mut grown = EngineWriter::new(Arc::new(loaded));
     let more_ids = grown.insert_labels(&labels[half..]);
     assert_eq!(more_ids.first().map(|id| id.0 as usize), Some(half), "ids continue densely");
     let vb = grown.add_view(view_b.clone());
@@ -129,30 +146,33 @@ fn mutate_after_load_roundtrips_like_a_cold_engine() {
         grown.compile(vb, kind).unwrap();
     }
     let mut bytes2 = Vec::new();
-    grown.save(&mut bytes2).unwrap();
+    publish(&mut grown).save(&mut bytes2).unwrap();
 
     // …and the re-load must be indistinguishable from a cold build.
-    let mut warm = QueryEngine::load(&fvl, &mut bytes2.as_slice()).unwrap();
-    let mut cold = QueryEngine::new(&fvl);
+    let warm = EngineGeneration::load(fvl.clone(), &mut bytes2.as_slice()).unwrap();
+    let mut cold = EngineWriter::from_fvl(fvl.clone());
     let items = cold.insert_labels(labels);
     assert_eq!(cold.add_view(view_a), va);
     assert_eq!(cold.add_view(view_b), vb);
+    cold.compile(va, VariantKind::Default).unwrap();
+    for kind in VARIANTS {
+        cold.compile(vb, kind).unwrap();
+    }
+    let cold = publish(&mut cold);
     assert_eq!(warm.store().len(), cold.store().len());
     assert_eq!(
         warm.store().edge_stats().0,
         cold.store().edge_stats().0,
         "the grown trie shares prefixes exactly like a cold one"
     );
-    cold.compile(va, VariantKind::Default).unwrap();
-    for kind in VARIANTS {
-        cold.compile(vb, kind).unwrap();
-    }
+    let mut ws = WorkerScratch::new();
     for (vid, kinds) in [(va, &VARIANTS[1..2]), (vb, &VARIANTS[..])] {
         for &kind in kinds {
-            let vref = warm.compile(vid, kind).unwrap();
+            let vref = ViewRef { id: vid, kind };
+            assert!(warm.registry().label(vref).is_some(), "{kind:?} arrives compiled");
             assert_eq!(
-                warm.all_pairs(vref, &items),
-                cold.all_pairs(vref, &items),
+                warm.all_pairs(&mut ws, vref, &items),
+                cold.all_pairs(&mut ws, vref, &items),
                 "{kind:?} diverges after mutate-and-reload"
             );
         }
@@ -164,10 +184,9 @@ fn truncation_at_every_byte_is_rejected_typed() {
     let bytes = build_and_save(3, 60, 6);
     // Every strict prefix must fail with a typed error — never panic,
     // never succeed (the container checks the declared length first).
-    let w = bioaid(3);
-    let fvl = Fvl::new(&w.spec).unwrap();
+    let fvl = shared_fvl(&bioaid(3));
     for cut in 0..bytes.len() {
-        match QueryEngine::load(&fvl, &mut &bytes[..cut]) {
+        match EngineGeneration::load(fvl.clone(), &mut &bytes[..cut]) {
             Err(_) => {}
             Ok(_) => panic!("prefix of {cut} bytes loaded successfully"),
         }
@@ -177,15 +196,14 @@ fn truncation_at_every_byte_is_rejected_typed() {
 #[test]
 fn corruption_of_any_byte_is_rejected_typed() {
     let bytes = build_and_save(4, 60, 6);
-    let w = bioaid(4);
-    let fvl = Fvl::new(&w.spec).unwrap();
+    let fvl = shared_fvl(&bioaid(4));
     // Flip one bit in each of a spread of byte positions (every byte would
     // be slow at release-test sizes); all flips must be caught.
     for i in (0..bytes.len()).step_by(7) {
         let mut bad = bytes.clone();
         bad[i] ^= 0x10;
         assert!(
-            QueryEngine::load(&fvl, &mut bad.as_slice()).is_err(),
+            EngineGeneration::load(fvl.clone(), &mut bad.as_slice()).is_err(),
             "bit flip at byte {i} went undetected"
         );
     }
@@ -195,31 +213,38 @@ fn corruption_of_any_byte_is_rejected_typed() {
 fn version_and_spec_mismatches_are_typed() {
     let bytes = build_and_save(5, 60, 6);
     let w = bioaid(5);
-    let fvl = Fvl::new(&w.spec).unwrap();
+    let fvl = shared_fvl(&w);
+    let load = |bytes: &[u8]| EngineGeneration::load(fvl.clone(), &mut &bytes[..]);
 
     // Foreign format version.
     let mut versioned = bytes.clone();
     versioned[8] = 0x7F;
-    assert!(matches!(
-        QueryEngine::load(&fvl, &mut versioned.as_slice()),
-        Err(SnapshotError::UnsupportedVersion { found: 0x7F, .. })
-    ));
+    assert!(matches!(load(&versioned), Err(SnapshotError::UnsupportedVersion { found: 0x7F, .. })));
 
     // Snapshot of a different specification.
-    let other = bioaid(1);
-    let other_fvl = Fvl::new(&other.spec).unwrap();
+    let other_fvl = shared_fvl(&bioaid(1));
     assert!(matches!(
-        QueryEngine::load(&other_fvl, &mut bytes.as_slice()),
+        EngineGeneration::load(other_fvl, &mut bytes.as_slice()),
         Err(SnapshotError::SpecMismatch { .. })
     ));
 
     // Not a snapshot at all.
-    assert!(matches!(
-        QueryEngine::load(&fvl, &mut &b"definitely not a snapshot"[..]),
-        Err(SnapshotError::BadMagic)
-    ));
+    assert!(matches!(load(b"definitely not a snapshot"), Err(SnapshotError::BadMagic)));
     // Empty stream.
-    assert!(matches!(QueryEngine::load(&fvl, &mut &b""[..]), Err(SnapshotError::Truncated)));
+    assert!(matches!(load(b""), Err(SnapshotError::Truncated)));
+
+    // An honest container whose payload opens with the store section and
+    // no generation header (the retired generation-less format).
+    let mut bw = BitWriter::new();
+    bw.write_bits(0x01, 8);
+    let mut headerless = Vec::new();
+    write_container(
+        &mut headerless,
+        spec_fingerprint(&w.spec.grammar, fvl.prod_graph()),
+        &bw.finish(),
+    )
+    .unwrap();
+    assert!(matches!(load(&headerless), Err(SnapshotError::Malformed(_))));
 }
 
 /// A warm-restart stream whose delta record carries a *valid* checksum but
@@ -232,14 +257,10 @@ fn version_and_spec_mismatches_are_typed() {
 /// never a panic — and the stream's base prefix must stay replayable.
 #[test]
 fn valid_checksum_delta_with_broken_label_chain_is_rejected_structurally() {
-    use std::sync::Arc;
-    use wf_bitio::BitWriter;
-    use wf_engine::{EngineGeneration, EngineWriter, LiveEngine};
     use wf_run::EdgeLabel;
-    use wf_snapshot::{spec_fingerprint, write_container};
 
     let w = bioaid(8);
-    let fvl = Arc::new(Fvl::from_arc(Arc::new(w.spec.clone())).unwrap());
+    let fvl = shared_fvl(&w);
     let pg = ProdGraph::new(&w.spec.grammar);
     let mut rng = StdRng::seed_from_u64(8);
     let (_, run) = sample::sample_run(&w, &pg, &mut rng, 60);
@@ -285,12 +306,11 @@ fn valid_checksum_delta_with_broken_label_chain_is_rejected_structurally() {
 
 #[test]
 fn save_load_save_is_byte_identical() {
-    // Determinism check: a loaded engine re-saves to the exact same bytes,
-    // so snapshots can be content-addressed / diffed.
+    // Determinism check: a loaded generation re-saves to the exact same
+    // bytes, so snapshots can be content-addressed / diffed.
     let bytes = build_and_save(6, 80, 8);
-    let w = bioaid(6);
-    let fvl = Fvl::new(&w.spec).unwrap();
-    let loaded = QueryEngine::load(&fvl, &mut bytes.as_slice()).unwrap();
+    let fvl = shared_fvl(&bioaid(6));
+    let loaded = EngineGeneration::load(fvl, &mut bytes.as_slice()).unwrap();
     let mut again = Vec::new();
     loaded.save(&mut again).unwrap();
     assert_eq!(again, bytes);
@@ -298,32 +318,34 @@ fn save_load_save_is_byte_identical() {
 
 #[test]
 fn loaded_engine_serves_and_reaches_steady_state() {
-    // A loaded engine is not just correct once: it serves batches
+    // A loaded generation is not just correct once: it serves batches
     // allocation-free like a fresh one (scratch reaches a fixed point).
     let w = bioaid(7);
-    let fvl = Fvl::new(&w.spec).unwrap();
+    let fvl = shared_fvl(&w);
     let pg = ProdGraph::new(&w.spec.grammar);
     let mut rng = StdRng::seed_from_u64(7);
     let (_, run) = sample::sample_run(&w, &pg, &mut rng, 300);
     let labeler = fvl.labeler(&run);
     let view = views::random_safe_view(&w, &mut rng, 8);
 
-    let mut engine = QueryEngine::new(&fvl);
-    let items = engine.insert_labels(labeler.labels());
-    let vid = engine.add_view(view);
-    engine.compile(vid, VariantKind::Default).unwrap();
+    let mut writer = EngineWriter::from_fvl(fvl.clone());
+    let items = writer.insert_labels(labeler.labels());
+    let vid = writer.add_view(view);
+    writer.compile(vid, VariantKind::Default).unwrap();
     let mut bytes = Vec::new();
-    engine.save(&mut bytes).unwrap();
-    drop(engine);
+    publish(&mut writer).save(&mut bytes).unwrap();
+    drop(writer);
 
-    let mut loaded = QueryEngine::load(&fvl, &mut bytes.as_slice()).unwrap();
-    // compile() on an already-compiled pair is a cheap handle lookup.
-    let vref = loaded.compile(vid, VariantKind::Default).unwrap();
+    let loaded = EngineGeneration::load(fvl.clone(), &mut bytes.as_slice()).unwrap();
+    // The snapshot carries the compiled label: the handle is valid as is.
+    let vref = ViewRef { id: vid, kind: VariantKind::Default };
+    let core = loaded.core();
     let pairs = sample::sample_query_pairs(&run, &mut rng, 300);
     let id_pairs: Vec<_> =
         pairs.iter().map(|&(a, b)| (items[a.0 as usize], items[b.0 as usize])).collect();
+    let mut ws = WorkerScratch::new();
     let mut out = Vec::with_capacity(id_pairs.len());
-    loaded.query_batch_into(vref, &id_pairs, &mut out);
+    core.try_query_batch_into(&mut ws, vref, &id_pairs, &mut out).unwrap();
     for (i, &(a, b)) in pairs.iter().enumerate() {
         let want = fvl.query(
             &fvl.label_view(loaded.registry().view(vid), VariantKind::Default).unwrap(),
@@ -332,10 +354,10 @@ fn loaded_engine_serves_and_reaches_steady_state() {
         );
         assert_eq!(out[i], want, "pair {i}");
     }
-    loaded.query_batch_into(vref, &id_pairs, &mut out);
-    let warm = loaded.scratch_stats();
+    core.try_query_batch_into(&mut ws, vref, &id_pairs, &mut out).unwrap();
+    let warm = ws.stats();
     for _ in 0..3 {
-        loaded.query_batch_into(vref, &id_pairs, &mut out);
-        assert_eq!(loaded.scratch_stats(), warm, "loaded engine scratch grew after warm-up");
+        core.try_query_batch_into(&mut ws, vref, &id_pairs, &mut out).unwrap();
+        assert_eq!(ws.stats(), warm, "loaded engine scratch grew after warm-up");
     }
 }

@@ -7,14 +7,15 @@
 //! * For every generated `(spec, run, view)` and every ordered item pair
 //!   `(d1, d2)`: `Fvl::query` under Space-Efficient, Default and
 //!   Query-Efficient, the [`wf_run::RunOracle`]'s brute-force reachability
-//!   over the flattened run graph, and `QueryEngine` batched queries over
-//!   trie-interned labels agree **as `Option<bool>`** — visibility
-//!   (`None`) included, not just the boolean.
+//!   over the flattened run graph, and a published [`EngineGeneration`]'s
+//!   batched queries over trie-interned labels agree **as
+//!   `Option<bool>`** — visibility (`None`) included, not just the boolean.
 //! * For every churn stream replayed through `EngineWriter` /
 //!   [`LiveEngine`]: each published generation answers every batch exactly
-//!   like a sequential single-generation [`QueryEngine`] holding the same
-//!   published state, and a warm [`EngineGeneration::replay`] of the
-//!   base ‖ delta stream reproduces the final generation's answers.
+//!   like a sequential [`EngineCore`] over a label store and view registry
+//!   built directly to the same published state (no staging, no publish),
+//!   and a warm [`EngineGeneration::replay`] of the base ‖ delta stream
+//!   reproduces the final generation's answers.
 //! * For every producer fleet raced through the [`IngestPipeline`]: each
 //!   published generation is element-identical to a sequential replay of
 //!   the ops in global ticket order, and the op-log prefix that produced
@@ -30,9 +31,9 @@ use rand::{Rng, SeedableRng};
 use std::sync::{Arc, Mutex};
 use wf_core::{DataLabel, Fvl, QueryScratch, VariantKind};
 use wf_engine::{
-    EngineError, EngineGeneration, EngineWriter, IngestOp, IngestPipeline, IngestQueue, ItemId,
-    LiveEngine, PipelineOptions, PublishPolicy, QueryEngine, SharedSink, Ticket, ViewRef,
-    WorkerScratch,
+    EngineCore, EngineError, EngineGeneration, EngineWriter, IngestOp, IngestPipeline, IngestQueue,
+    ItemId, LabelStore, LiveEngine, PipelineOptions, PublishPolicy, SharedSink, Ticket, ViewRef,
+    ViewRegistry, WorkerScratch,
 };
 use wf_model::{View, ViewSpec};
 use wf_run::{DataId, RunOracle};
@@ -83,8 +84,8 @@ fn check_workload(
     w: &Workload,
     rng: &mut StdRng,
 ) -> Result<DiffOutcome, Divergence> {
-    let fvl = match Fvl::new(&w.spec) {
-        Ok(f) => f,
+    let fvl = match Fvl::from_arc(Arc::new(w.spec.clone())) {
+        Ok(f) => Arc::new(f),
         Err(e) => diverge!("{}: generated spec rejected by Fvl: {e}", fail_ctx(seed, shape)),
     };
     let pg = fvl.prod_graph();
@@ -121,10 +122,13 @@ fn check_workload(
         view_set.push(views::random_safe_view(w, rng, size));
     }
 
-    // The engine path runs alongside: labels interned once, each view
-    // registered under every variant, batches compared element-wise.
-    let mut engine = QueryEngine::new(&fvl);
-    let items = engine.insert_labels(&labels);
+    // The engine path runs alongside: labels staged once, each view
+    // registered under every variant and published, batches answered by
+    // the published generation and compared element-wise.
+    let mut writer = EngineWriter::from_fvl(fvl.clone());
+    let items = writer.insert_labels(&labels);
+    let live = LiveEngine::new(writer.base().clone());
+    let mut ws = WorkerScratch::new();
     let engine_pairs: Vec<(ItemId, ItemId)> =
         pairs.iter().map(|&(a, b)| (items[a.0 as usize], items[b.0 as usize])).collect();
 
@@ -152,7 +156,7 @@ fn check_workload(
         }
         let mut engine_refs: Vec<(VariantKind, ViewRef)> = Vec::new();
         for kind in VariantKind::ALL {
-            match engine.register_view(view.clone(), kind) {
+            match writer.register_view(view.clone(), kind) {
                 Ok(r) => engine_refs.push((kind, r)),
                 Err(e) => diverge!(
                     "{}: view {vix} rejected by engine registration ({}): {e}",
@@ -185,8 +189,9 @@ fn check_workload(
             }
             out.queries += 1;
         }
+        let gen = writer.publish(&live);
         for (kind, vref) in &engine_refs {
-            let batch = engine.query_batch(*vref, &engine_pairs);
+            let batch = gen.query_batch(&mut ws, *vref, &engine_pairs);
             for (pix, (&(d1, d2), got)) in pairs.iter().zip(&batch).enumerate() {
                 let expected = oracle.depends_on(d1, d2);
                 if *got != expected {
@@ -213,9 +218,9 @@ fn check_workload(
 /// through an [`EngineWriter`] publishing into a [`LiveEngine`] (every
 /// publish appending a delta record). Every query batch is answered by the
 /// *published* generation via the lock-free read path and compared to a
-/// sequential [`QueryEngine`] mirroring exactly the published ops; at the
-/// end the append-only stream is replayed cold and must reproduce the
-/// final generation's answers.
+/// sequential [`EngineCore`] over a store and registry mirroring exactly
+/// the published ops; at the end the append-only stream is replayed cold
+/// and must reproduce the final generation's answers.
 pub fn check_live_churn(seed: u64, budget: usize, ops: usize) -> Result<DiffOutcome, Divergence> {
     let mut rng = StdRng::seed_from_u64(seed);
     let (shape, w) = adversarial_workload(&mut rng, budget);
@@ -286,9 +291,13 @@ pub fn check_live_churn(seed: u64, budget: usize, ops: usize) -> Result<DiffOutc
     })?;
 
     // The sequential reference mirrors *published* state only: ops applied
-    // to the writer stay pending until the next publish drains them.
-    let mut reference = QueryEngine::new(&fvl);
-    reference.insert_labels(&labels[..spec.initial_items]);
+    // to the writer stay pending until the next publish drains them. It is
+    // built from the parts, independent of the staging and publish path.
+    let mut ref_store = LabelStore::new();
+    let mut ref_registry = ViewRegistry::new();
+    let mut ref_ws = WorkerScratch::new();
+    let mut expected = Vec::new();
+    ref_store.insert_all(&labels[..spec.initial_items]);
     let mut pending: Vec<ChurnOp> = Vec::new();
     let mut compiled: Vec<ViewRef> = Vec::new();
     let mut pending_compiled: Vec<ViewRef> = Vec::new();
@@ -326,9 +335,14 @@ pub fn check_live_churn(seed: u64, budget: usize, ops: usize) -> Result<DiffOutc
                     .iter()
                     .map(|&(a, b)| (ItemId(a % population), ItemId(b % population)))
                     .collect();
+                let reference = EngineCore::new(&fvl, &ref_registry, &ref_store);
                 for &vref in &compiled {
                     let got = gen.query_batch(&mut ws, vref, &item_pairs);
-                    let expected = reference.query_batch(vref, &item_pairs);
+                    reference
+                        .try_query_batch_into(&mut ref_ws, vref, &item_pairs, &mut expected)
+                        .map_err(|e| {
+                        Divergence(format!("{}: reference batch: {e}", fail_ctx(seed, &shape)))
+                    })?;
                     if got != expected {
                         diverge!(
                             "{}: op {opix} — generation {} disagrees with the sequential \
@@ -353,7 +367,8 @@ pub fn check_live_churn(seed: u64, budget: usize, ops: usize) -> Result<DiffOutc
                     ChurnOp::Insert { .. } => {}
                     ChurnOp::RegisterView { seed: vseed } => {
                         let (view, kind) = churn_view(&w, vseed);
-                        let r = reference.register_view(view, kind).map_err(|e| {
+                        let id = ref_registry.add_view(view);
+                        let r = ref_registry.compile(&fvl, id, kind).map_err(|e| {
                             Divergence(format!(
                                 "{}: reference view registration rejected: {e}",
                                 fail_ctx(seed, &shape)
@@ -369,9 +384,8 @@ pub fn check_live_churn(seed: u64, budget: usize, ops: usize) -> Result<DiffOutc
             }
             // Inserts: mirror the published store length exactly.
             let published_len = writer.base().store().len();
-            if reference.store().len() < published_len {
-                let from = reference.store().len();
-                reference.insert_labels(&labels[from..published_len]);
+            if ref_store.len() < published_len {
+                ref_store.insert_all(&labels[ref_store.len()..published_len]);
             }
             pending_compiled.retain(|r| {
                 if !compiled.contains(r) {
@@ -379,7 +393,7 @@ pub fn check_live_churn(seed: u64, budget: usize, ops: usize) -> Result<DiffOutc
                 }
                 false
             });
-            if !handles_match(&compiled, &reference) {
+            if !compiled.iter().all(|r| ref_registry.label(*r).is_some()) {
                 diverge!("{}: view handles drifted from the reference", fail_ctx(seed, &shape));
             }
         }
@@ -392,14 +406,14 @@ pub fn check_live_churn(seed: u64, budget: usize, ops: usize) -> Result<DiffOutc
     })?;
     let final_gen = live.snapshot();
     let published_len = final_gen.store().len();
-    if reference.store().len() < published_len {
-        let from = reference.store().len();
-        reference.insert_labels(&labels[from..published_len]);
+    if ref_store.len() < published_len {
+        ref_store.insert_all(&labels[ref_store.len()..published_len]);
     }
     for p in pending.drain(..) {
         if let ChurnOp::RegisterView { seed: vseed } = p {
             let (view, kind) = churn_view(&w, vseed);
-            let r = reference.register_view(view, kind).map_err(|e| {
+            let id = ref_registry.add_view(view);
+            let r = ref_registry.compile(&fvl, id, kind).map_err(|e| {
                 Divergence(format!("{}: reference rejected: {e}", fail_ctx(seed, &shape)))
             })?;
             out.views += 1;
@@ -424,8 +438,12 @@ pub fn check_live_churn(seed: u64, budget: usize, ops: usize) -> Result<DiffOutc
         );
     }
     let all_items: Vec<ItemId> = (0..published_len as u32).map(ItemId).collect();
+    let reference = EngineCore::new(&fvl, &ref_registry, &ref_store);
+    let mut expected = Vec::new();
     for &vref in &compiled {
-        let expected = reference.all_pairs(vref, &all_items);
+        reference.try_all_pairs_into(&mut ref_ws, vref, &all_items, &mut expected).map_err(
+            |e| Divergence(format!("{}: reference all_pairs: {e}", fail_ctx(seed, &shape))),
+        )?;
         if final_gen.all_pairs(&mut ws, vref, &all_items) != expected {
             diverge!("{}: final generation diverges on {vref:?}", fail_ctx(seed, &shape));
         }
@@ -435,10 +453,6 @@ pub fn check_live_churn(seed: u64, budget: usize, ops: usize) -> Result<DiffOutc
     }
     out.items = published_len as u64;
     Ok(out)
-}
-
-fn handles_match(compiled: &[ViewRef], reference: &QueryEngine<'_>) -> bool {
-    compiled.iter().all(|r| reference.registry().label(*r).is_some())
 }
 
 /// Materializes a `ChurnOp::RegisterView` seed into the concrete
@@ -547,8 +561,9 @@ fn producer_run(
 /// sink records every publish. Three oracles must agree:
 ///
 /// 1. **Sequential replay** — applying the ops one by one in the global
-///    [`Ticket::apply_index`] order through a single [`QueryEngine`] must
-///    reproduce *every published generation* element-identically
+///    [`Ticket::apply_index`] order to one label store and view registry,
+///    queried through an [`EngineCore`], must reproduce *every published
+///    generation* element-identically
 ///    (store length, and `all_pairs` over every compiled view).
 /// 2. **Op-log prefix replay** — for every published generation,
 ///    [`EngineGeneration::replay`] of `base ‖ op-log-prefix` must land on
@@ -638,11 +653,14 @@ pub fn check_multi_producer(
         .save(&mut base_bytes)
         .map_err(|e| Divergence(format!("{ctx}: base save failed: {e}")))?;
 
-    // The sequential reference starts from the same base.
-    let mut reference = QueryEngine::new(&fvl);
-    reference.insert_labels(&pool[..spec.initial_items]);
-    let ref_vref = reference
-        .register_view(w.spec.default_view(), VariantKind::Default)
+    // The sequential reference starts from the same base, built from the
+    // parts (no staging, no publish).
+    let mut ref_store = LabelStore::new();
+    ref_store.insert_all(&pool[..spec.initial_items]);
+    let mut ref_registry = ViewRegistry::new();
+    let base_id = ref_registry.add_view(w.spec.default_view());
+    let ref_vref = ref_registry
+        .compile(&fvl, base_id, VariantKind::Default)
         .map_err(|e| Divergence(format!("{ctx}: reference base view rejected: {e}")))?;
     if ref_vref != base_vref {
         diverge!("{ctx}: base view handle drifted between writer and reference");
@@ -745,6 +763,8 @@ pub fn check_multi_producer(
     // dedup made no-ops resolve with an older seqno and are no-ops in the
     // reference too, so the early application is harmless).
     let mut ws = WorkerScratch::new();
+    let mut ref_ws = WorkerScratch::new();
+    let mut expected = Vec::new();
     let mut compiled: Vec<ViewRef> = vec![base_vref];
     let mut ptr = 0usize;
     let mut last_published = 0u64;
@@ -756,11 +776,12 @@ pub fn check_multi_producer(
         while ptr < ordered.len() && ordered[ptr].1 <= gen.seqno() {
             match &ordered[ptr].2 {
                 ProducerOp::Insert { from, to } => {
-                    reference.insert_labels(&pool[*from..*to]);
+                    ref_store.insert_all(&pool[*from..*to]);
                 }
                 ProducerOp::Compile { vseed } => {
                     let (view, kind) = churn_view(&w, *vseed);
-                    let r = reference.register_view(view, kind).map_err(|e| {
+                    let id = ref_registry.add_view(view);
+                    let r = ref_registry.compile(&fvl, id, kind).map_err(|e| {
                         Divergence(format!("{ctx}: sequential replay rejected a view: {e}"))
                     })?;
                     if !compiled.contains(&r) {
@@ -773,19 +794,22 @@ pub fn check_multi_producer(
         }
 
         // Element-identical with the sequential replay.
-        if reference.store().len() != gen.store().len() {
+        if ref_store.len() != gen.store().len() {
             diverge!(
                 "{ctx}: generation {} holds {} items, the sequential replay {}",
                 gen.seqno(),
                 gen.store().len(),
-                reference.store().len()
+                ref_store.len()
             );
         }
         let n = gen.store().len() as u32;
         let step = (n as usize / 14).max(1);
         let items: Vec<ItemId> = (0..n).step_by(step).map(ItemId).collect();
+        let reference = EngineCore::new(&fvl, &ref_registry, &ref_store);
         for &vref in &compiled {
-            let expected = reference.all_pairs(vref, &items);
+            reference
+                .try_all_pairs_into(&mut ref_ws, vref, &items, &mut expected)
+                .map_err(|e| Divergence(format!("{ctx}: reference all_pairs: {e}")))?;
             if gen.all_pairs(&mut ws, vref, &items) != expected {
                 diverge!(
                     "{ctx}: generation {} diverges from the sequential replay on {vref:?}",

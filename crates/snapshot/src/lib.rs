@@ -38,7 +38,7 @@
 //! [`wf_core::snapshot`] provides matrix / dependency-assignment
 //! primitives and `ViewLabel::{write,read}_snapshot`; `wf-engine` layers
 //! the label-store trie and registry sections on top and exposes the
-//! user-facing `QueryEngine::save` / `QueryEngine::load`.
+//! user-facing `EngineGeneration::save` / `load` / `replay`.
 
 pub mod container;
 pub mod delta;

@@ -17,7 +17,9 @@ use rand::SeedableRng;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use wfprov::analysis::ProdGraph;
-use wfprov::engine::{EngineGeneration, EngineWriter, LiveEngine, QueryEngine, WorkerScratch};
+use wfprov::engine::{
+    EngineCore, EngineGeneration, EngineWriter, LabelStore, LiveEngine, ViewRegistry, WorkerScratch,
+};
 use wfprov::fvl::{Fvl, VariantKind};
 use wfprov::workloads::churn::{churn_stream, ChurnOp, ChurnSpec};
 use wfprov::workloads::queries::PairDist;
@@ -145,18 +147,21 @@ fn main() {
     assert_eq!(replayed.store().len(), last.store().len());
     assert_eq!(replayed.registry().view_count(), last.registry().view_count());
 
-    let mut cold = QueryEngine::new(fvl.as_ref());
-    let all_items = cold.insert_labels(&labels[..last.store().len()]);
-    let cold_ref = cold.register_view(view, VariantKind::Default).unwrap();
+    // The cold reference is built from the parts: one store, one registry.
+    let mut cold_store = LabelStore::new();
+    let all_items = cold_store.insert_all(&labels[..last.store().len()]);
+    let mut cold_registry = ViewRegistry::new();
+    let cold_id = cold_registry.add_view(view);
+    let cold_ref = cold_registry.compile(&fvl, cold_id, VariantKind::Default).unwrap();
     assert_eq!(cold_ref, vref, "handles are chain-stable");
     let sample: Vec<_> = all_items.iter().copied().step_by(7).collect();
     let mut ws = WorkerScratch::new();
     let warm_answers = replayed.all_pairs(&mut ws, vref, &sample);
-    assert_eq!(
-        warm_answers,
-        cold.all_pairs(cold_ref, &sample),
-        "replayed state must answer like a cold-built engine"
-    );
+    let mut cold_answers = Vec::new();
+    EngineCore::new(&fvl, &cold_registry, &cold_store)
+        .try_all_pairs_into(&mut ws, cold_ref, &sample, &mut cold_answers)
+        .unwrap();
+    assert_eq!(warm_answers, cold_answers, "replayed state must answer like a cold-built engine");
     println!(
         "warm restart replayed {} generations: {} dependent pairs over a {}-item sample — \
          identical to a cold build",

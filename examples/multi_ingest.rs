@@ -24,8 +24,8 @@ use rand::SeedableRng;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use wfprov::engine::{
-    EngineGeneration, EngineWriter, IngestOp, IngestPipeline, ItemId, LiveEngine, PipelineOptions,
-    PublishPolicy, QueryEngine, SharedSink, Ticket, WorkerScratch,
+    EngineCore, EngineGeneration, EngineWriter, IngestOp, IngestPipeline, ItemId, LabelStore,
+    LiveEngine, PipelineOptions, PublishPolicy, SharedSink, Ticket, ViewRegistry, WorkerScratch,
 };
 use wfprov::fvl::{Fvl, VariantKind};
 use wfprov::workloads::{bioaid, sample, views};
@@ -159,19 +159,25 @@ fn main() {
     assert_eq!(replayed.seqno(), last.seqno());
     assert_eq!(replayed.store().len(), last.store().len());
 
-    let mut cold = QueryEngine::new(fvl.as_ref());
     // The store's id order *is* the global apply order — materialize it
-    // back out to rebuild the same state cold.
+    // back out to rebuild the same state cold, from the parts.
     let store = report.writer.base().store();
     let ordered: Vec<_> = (0..store.len() as u32).map(|i| store.materialize(ItemId(i))).collect();
-    let all_items = cold.insert_labels(&ordered);
-    let cold_ref = cold.register_view(view, VariantKind::Default).unwrap();
+    let mut cold_store = LabelStore::new();
+    let all_items = cold_store.insert_all(&ordered);
+    let mut cold_registry = ViewRegistry::new();
+    let cold_id = cold_registry.add_view(view);
+    let cold_ref = cold_registry.compile(&fvl, cold_id, VariantKind::Default).unwrap();
     assert_eq!(cold_ref, vref);
     let sample_items: Vec<_> = all_items.iter().copied().step_by(13).collect();
     let mut ws = WorkerScratch::new();
+    let mut cold_answers = Vec::new();
+    EngineCore::new(&fvl, &cold_registry, &cold_store)
+        .try_all_pairs_into(&mut ws, cold_ref, &sample_items, &mut cold_answers)
+        .unwrap();
     assert_eq!(
         replayed.all_pairs(&mut ws, vref, &sample_items),
-        cold.all_pairs(cold_ref, &sample_items),
+        cold_answers,
         "replayed state must answer like a cold-built engine"
     );
     println!(

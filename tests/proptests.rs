@@ -8,8 +8,8 @@ use rand::SeedableRng;
 use std::sync::Arc;
 use wfprov::analysis::{classify, ProdGraph, RecursionClass};
 use wfprov::engine::{
-    EngineGeneration, EngineWriter, IngestOp, IngestPipeline, ItemId, LiveEngine, PipelineOptions,
-    PublishPolicy, QueryEngine, SharedSink, Ticket, WorkerScratch,
+    EngineCore, EngineGeneration, EngineWriter, IngestOp, IngestPipeline, ItemId, LabelStore,
+    LiveEngine, PipelineOptions, PublishPolicy, SharedSink, Ticket, ViewRegistry, WorkerScratch,
 };
 use wfprov::fvl::{DataLabel, Fvl, VariantKind};
 use wfprov::model::ViewSpec;
@@ -78,8 +78,8 @@ proptest! {
 
     /// The engine's batched fast path must never diverge from the reference
     /// per-call path: over random strictly-linear workloads, for all three
-    /// variants, `QueryEngine::query_batch` agrees pairwise with
-    /// `Fvl::query` — including `None`s for invisible items.
+    /// variants, a published generation's `query_batch` agrees pairwise
+    /// with `Fvl::query` — including `None`s for invisible items.
     #[test]
     fn query_batch_agrees_with_per_call(
         seed in 0u64..1_000,
@@ -100,25 +100,27 @@ proptest! {
                 seed,
             })
         };
-        let fvl = Fvl::new(&w.spec).unwrap();
+        let fvl = Arc::new(Fvl::from_arc(Arc::new(w.spec.clone())).unwrap());
         let pg = ProdGraph::new(&w.spec.grammar);
         let mut rng = StdRng::seed_from_u64(seed);
         let (_, run) = sample::sample_run(&w, &pg, &mut rng, run_size);
         let labels = fvl.labeler(&run);
         let view = views::random_safe_view(&w, &mut rng, view_size);
 
-        let mut engine = QueryEngine::new(&fvl);
-        let items = engine.insert_labels(labels.labels());
+        let mut writer = EngineWriter::from_fvl(fvl.clone());
+        let items = writer.insert_labels(labels.labels());
         let pairs = sample::sample_query_pairs(&run, &mut rng, 100);
         let id_pairs: Vec<_> =
             pairs.iter().map(|&(a, b)| (items[a.0 as usize], items[b.0 as usize])).collect();
-        let vid = engine.add_view(view.clone());
+        let vid = writer.add_view(view.clone());
+        let live = LiveEngine::new(writer.base().clone());
+        let mut ws = WorkerScratch::new();
         for kind in
             [VariantKind::SpaceEfficient, VariantKind::Default, VariantKind::QueryEfficient]
         {
-            let vref = engine.compile(vid, kind).unwrap();
+            let vref = writer.compile(vid, kind).unwrap();
             let vl = fvl.label_view(&view, kind).unwrap();
-            let batch = engine.query_batch(vref, &id_pairs);
+            let batch = writer.publish(&live).query_batch(&mut ws, vref, &id_pairs);
             for (i, &(a, b)) in pairs.iter().enumerate() {
                 prop_assert_eq!(
                     batch[i],
@@ -229,20 +231,30 @@ proptest! {
             prop_assert!(t.wait().is_ok());
         }
         tickets.sort_by_key(|(t, _)| t.apply_index().expect("resolved tickets carry the index"));
-        let mut reference = QueryEngine::new(&fvl);
-        let ref_vref = reference.register_view(view.clone(), VariantKind::Default).unwrap();
+        // The reference is built from the parts, independent of the
+        // staging and publish path under test.
+        let mut ref_store = LabelStore::new();
+        let mut ref_registry = ViewRegistry::new();
+        let ref_id = ref_registry.add_view(view.clone());
+        let ref_vref = ref_registry.compile(&fvl, ref_id, VariantKind::Default).unwrap();
         prop_assert_eq!(ref_vref, vref);
         for (_, chunk) in &tickets {
-            reference.insert_labels(chunk);
+            ref_store.insert_all(chunk);
         }
+        let mut ref_ws = WorkerScratch::new();
+        let mut reference_all_pairs = |store: &LabelStore, items: &[ItemId]| {
+            let mut out = Vec::new();
+            EngineCore::new(&fvl, &ref_registry, store)
+                .try_all_pairs_into(&mut ref_ws, ref_vref, items, &mut out)
+                .unwrap();
+            out
+        };
         let final_gen = live.snapshot();
         prop_assert_eq!(final_gen.store().len(), producers * PER);
         let items: Vec<ItemId> = (0..final_gen.store().len() as u32).map(ItemId).collect();
+        let expected = reference_all_pairs(&ref_store, &items);
         let mut ws = WorkerScratch::new();
-        prop_assert_eq!(
-            final_gen.all_pairs(&mut ws, vref, &items),
-            reference.all_pairs(vref, &items)
-        );
+        prop_assert_eq!(final_gen.all_pairs(&mut ws, vref, &items), expected.clone());
 
         // Save → load: replaying base ‖ op-log must land on the same
         // generation, views included.
@@ -251,10 +263,7 @@ proptest! {
         let reloaded = EngineGeneration::replay(fvl2, &mut stream.as_slice()).unwrap();
         prop_assert_eq!(reloaded.seqno(), final_gen.seqno());
         prop_assert_eq!(reloaded.store().len(), final_gen.store().len());
-        prop_assert_eq!(
-            reloaded.all_pairs(&mut ws, vref, &items),
-            reference.all_pairs(vref, &items)
-        );
+        prop_assert_eq!(reloaded.all_pairs(&mut ws, vref, &items), expected);
 
         // Resume: a second fleet raced on top of the reloaded generation
         // must still match the sequential reference continued in its
@@ -272,14 +281,14 @@ proptest! {
         }
         tickets2.sort_by_key(|(t, _)| t.apply_index().expect("resolved tickets carry the index"));
         for (_, chunk) in &tickets2 {
-            reference.insert_labels(chunk);
+            ref_store.insert_all(chunk);
         }
         let resumed = live2.snapshot();
         prop_assert_eq!(resumed.store().len(), 2 * producers * PER);
         let items2: Vec<ItemId> = (0..resumed.store().len() as u32).map(ItemId).collect();
         prop_assert_eq!(
             resumed.all_pairs(&mut ws, vref, &items2),
-            reference.all_pairs(vref, &items2)
+            reference_all_pairs(&ref_store, &items2)
         );
     }
 }
