@@ -8,12 +8,16 @@
 //! module's arity) before submitting the chunk as an
 //! `IngestOp::InsertLabels`. That per-label parse cost is the
 //! parallelizable part; the pipeline's job is to keep the serialized part
-//! (staging, publishing, the op-log append) off the producers' backs. The
+//! (staging, publishing, the op-log append) off the producers' backs.
+//! Every publish persists through a [`wf_engine::DurableEngine`] on
+//! in-memory [`MemStorage`] — the framed, checksummed append path
+//! production uses, minus the disk's fsync latency — and after each run
+//! the log is recovered and checked against the live generation. The
 //! sweep measures, per fleet width 1/2/4/8 over the *same total label
 //! count*:
 //!
 //! * `labels_per_s` — end-to-end wall throughput: decode + submit +
-//!   publish + op-log append, until every ticket resolved and the
+//!   publish + durable op-log append, until every ticket resolved and the
 //!   pipeline drained.
 //! * `labels_per_cpu_s` — the same run normalized by process CPU time
 //!   (`CLOCK_PROCESS_CPUTIME_ID`, every thread). On a box with fewer
@@ -44,10 +48,11 @@ use wf_bench::{process_cpu_ns, Bench, LatencyHistogram};
 use wf_bitio::{BitReader, BitVec, BitWriter};
 use wf_core::{DataLabel, Fvl, VariantKind};
 use wf_engine::{
-    EngineWriter, IngestOp, IngestPipeline, IngestQueue, ItemId, LiveEngine, PipelineOptions,
-    PublishPolicy, SharedSink, ViewRef, WorkerScratch,
+    serialize_base, shared_durable, DurableEngine, EngineWriter, IngestOp, IngestPipeline,
+    IngestQueue, ItemId, LabelStore, LiveEngine, PipelineOptions, PublishPolicy, ViewRef,
+    WorkerScratch,
 };
-use wf_snapshot::{read_label, write_label};
+use wf_snapshot::{read_label, write_label, MemStorage};
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -79,16 +84,21 @@ fn decode(bits: &BitVec, fvl: &Fvl<'_>) -> DataLabel {
 /// Runs `producers` threads over disjoint slices of `encoded` (same total
 /// across widths), each decoding chunks and feeding the pipeline, then
 /// waits out every ticket and drains. Returns the row with wall/CPU time
-/// and the fleet-merged publish-lag histogram.
+/// and the fleet-merged publish-lag histogram, after checking that the
+/// durable op-log recovers the live generation byte for byte.
 fn fleet_run(fvl: &Arc<Fvl<'static>>, encoded: &[BitVec], producers: usize) -> FleetRow {
     let writer = EngineWriter::from_fvl(fvl.clone());
     let live = Arc::new(LiveEngine::new(writer.base().clone()));
-    let sink = SharedSink::new();
+    let base = serialize_base(writer.base()).expect("the empty base serializes");
+    let mem = MemStorage::with_state(Some(base), Vec::new());
+    let (durable, _, _) =
+        DurableEngine::open(fvl.clone(), Box::new(mem.clone()), LabelStore::DEFAULT_SHARD_CAPACITY)
+            .expect("the seeded store opens");
     let pipeline = IngestPipeline::spawn_with(
         writer,
-        live,
+        live.clone(),
         PublishPolicy::default(),
-        PipelineOptions { sink: Some(Box::new(sink)), ..PipelineOptions::default() },
+        PipelineOptions { durable: Some(shared_durable(durable)), ..PipelineOptions::default() },
     );
 
     let per = encoded.len() / producers;
@@ -134,6 +144,17 @@ fn fleet_run(fvl: &Arc<Fvl<'static>>, encoded: &[BitVec], producers: usize) -> F
         lag.merge(h);
     }
     assert_eq!(report.stats.labels_ingested as usize, per * producers);
+    let (_, recovered, _) = DurableEngine::open(
+        fvl.clone(),
+        Box::new(mem.survivor()),
+        LabelStore::DEFAULT_SHARD_CAPACITY,
+    )
+    .expect("the op-log recovers");
+    assert_eq!(
+        serialize_base(&recovered).expect("recovered save"),
+        serialize_base(&live.snapshot()).expect("live save"),
+        "the durable op-log must recover the live generation byte for byte"
+    );
     FleetRow {
         producers,
         labels: per * producers,
@@ -270,7 +291,9 @@ fn bench_ingest_throughput(c: &mut Criterion) {
     let mut writer = EngineWriter::from_fvl(fvl.clone());
     let mut pool_iter = pool.iter().cycle();
     for _ in 0..reader_items {
-        writer.insert_label(pool_iter.next().expect("pool cycles forever"));
+        writer
+            .try_insert_label(pool_iter.next().expect("pool cycles forever"))
+            .expect("the bench store has room");
     }
     let vref = writer.register_view(view, VariantKind::Default).unwrap();
     let live = Arc::new(LiveEngine::new(writer.base().clone()));
@@ -313,8 +336,9 @@ fn bench_ingest_throughput(c: &mut Criterion) {
         json,
         "  \"metric_note\": \"Per fleet width (same {total_labels} labels at every width): \
          producers decode+validate labels from the delta wire form ({CHUNK}/op) and feed the \
-         ingest pipeline; labels_per_s is end-to-end wall throughput until every ticket resolved \
-         and the pipeline drained; labels_per_cpu_s divides by process CPU time (the per-label \
+         ingest pipeline, which persists every publish through a DurableEngine on in-memory \
+         storage (framed, checksummed appends; recovery checked byte-identical); labels_per_s \
+         is end-to-end wall throughput until every ticket resolved and the pipeline drained; labels_per_cpu_s divides by process CPU time (the per-label \
          overhead axis — meaningful even when host_cores < producers, where wall cannot scale); \
          publish_lag_ns is push-to-publish latency as producers saw it, per-producer histograms \
          folded with LatencyHistogram::merge. reader: one thread, batched hot-key queries over a \

@@ -93,7 +93,9 @@ fn bench_recovery(c: &mut Criterion) {
     let mut pool_iter = pool.iter().cycle();
     for _ in 0..PUBLISHES {
         for _ in 0..per {
-            writer.insert_label(pool_iter.next().expect("pool cycles"));
+            writer
+                .try_insert_label(pool_iter.next().expect("pool cycles"))
+                .expect("the bench store has room");
         }
         let mut record = Vec::new();
         let gen = writer.publish_with_delta(&live, &mut record).expect("publish");

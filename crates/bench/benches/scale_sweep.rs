@@ -23,11 +23,9 @@
 //!   answers spot-checked against cold;
 //! * memory — `rss_bytes` (`VmRSS`) after each size's build, plus the
 //!   process-wide `peak_rss_bytes` (`VmHWM`) after the largest;
-//! * `kernels` — the microbench justifying the word-parallel transpose and
-//!   blocked matmul rewrites, each measured in its dispatched regime
-//!   (dense operand for the transpose, sparse right-hand side for the
-//!   blocked matmul) against the bit-serial reference, speedups recorded
-//!   and CI-gated (transpose ≥ 2×);
+//! * `kernels` — the microbench justifying the word-parallel transpose
+//!   rewrite, measured in its dispatched regime (a dense operand) against
+//!   the bit-serial reference, speedup recorded and CI-gated (≥ 2×);
 //! * `profile` — when built with `--features profile`, the per-stage
 //!   [`wf_bench::profile::ProfileReport`] of the largest size's query
 //!   traffic (label fetch / port-graph walk / matmul / pow-memo hit+miss /
@@ -97,32 +95,13 @@ fn hist_json(h: &LatencyHistogram) -> String {
 }
 
 /// Dense pseudo-random 64×64 operand (~50% occupancy) — the transpose
-/// microbench's worst case for the bit-serial scatter, and the matmul
-/// regime where the serial kernel's saturation exit wins (kept bit-serial
-/// by the density-aware dispatch).
+/// microbench's worst case for the bit-serial scatter.
 fn dense64(seed: u64) -> BoolMat {
     let mut state = seed | 1;
     let mut m = BoolMat::zeros(64, 64);
     for r in 0..64 {
         state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
         m.set_row_bits(r, state ^ state.rotate_left(31));
-    }
-    m
-}
-
-/// Sparse 64×64 operand (8 bits/row ≈ 12.5% occupancy) — the right-hand
-/// regime where the blocked matmul's branchless pass beats bit-serial
-/// accumulation (no saturation exit to bail it out).
-fn sparse64(seed: u64) -> BoolMat {
-    let mut state = seed | 1;
-    let mut m = BoolMat::zeros(64, 64);
-    for r in 0..64 {
-        let mut bits = 0u64;
-        for _ in 0..8 {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            bits |= 1u64 << (state >> 58);
-        }
-        m.set_row_bits(r, bits);
     }
     m
 }
@@ -247,11 +226,9 @@ fn bench_scale_sweep(c: &mut Criterion) {
         });
     }
 
-    // --- Kernel microbench: the profile-justified rewrites vs their
-    // bit-serial references, each in its dispatched regime (transpose on a
-    // dense operand, blocked matmul on a sparse right-hand side). --------
+    // --- Kernel microbench: the word-parallel transpose vs its
+    // bit-serial reference, in its dispatched regime (a dense operand). --
     let a = dense64(0xA5A5_5A5A);
-    let b = sparse64(0x1234_5678);
     let mut out = BoolMat::default();
     let transpose_serial_ns = ns_per(kernel_iters, |_| {
         a.transpose_into_bitserial(&mut out);
@@ -259,14 +236,6 @@ fn bench_scale_sweep(c: &mut Criterion) {
     });
     let transpose_block_ns = ns_per(kernel_iters, |_| {
         a.transpose_into_block(&mut out);
-        out.row_bits(0)
-    });
-    let matmul_serial_ns = ns_per(kernel_iters, |_| {
-        a.matmul_into_bitserial(&b, &mut out);
-        out.row_bits(0)
-    });
-    let matmul_blocked_ns = ns_per(kernel_iters, |_| {
-        a.matmul_into_blocked(&b, &mut out);
         out.row_bits(0)
     });
 
@@ -293,24 +262,16 @@ fn bench_scale_sweep(c: &mut Criterion) {
          core, per-worker histograms merged (on host_cores < par_workers the tail includes \
          time-slicing, by design); warm_load_ms = EngineGeneration::load from a save() snapshot \
          — no relabeling, and the compiled view arrives compiled — gated <= cold_build_ms; rss_bytes = VmRSS after the \
-         build. kernels = 64x64 microbench of each rewrite in its dispatched regime: \
-         word-parallel transpose on a dense operand, blocked matmul on a sparse right-hand side \
-         (dense rhs stays bit-serial, whose saturation exit wins there); speedups gated by \
-         bench_check. profile = per-stage counters of the largest size's measured queries, \
+         build. kernels = 64x64 microbench of the word-parallel transpose against the bit-serial \
+         scatter on a dense operand (its dispatched regime); speedup gated by bench_check. profile = per-stage counters of the largest size's measured queries, \
          present when built with --features profile (CI does).\","
     );
     let _ = writeln!(json, "  \"kernels\": {{");
     let _ = writeln!(
         json,
         "    \"transpose_64x64\": {{ \"bitserial_ns\": {transpose_serial_ns:.1}, \
-         \"word_parallel_ns\": {transpose_block_ns:.1}, \"speedup\": {:.2} }},",
+         \"word_parallel_ns\": {transpose_block_ns:.1}, \"speedup\": {:.2} }}",
         transpose_serial_ns / transpose_block_ns
-    );
-    let _ = writeln!(
-        json,
-        "    \"matmul_64x64_sparse_rhs\": {{ \"bitserial_ns\": {matmul_serial_ns:.1}, \
-         \"blocked_ns\": {matmul_blocked_ns:.1}, \"speedup\": {:.2} }}",
-        matmul_serial_ns / matmul_blocked_ns
     );
     let _ = writeln!(json, "  }},");
     let _ = writeln!(json, "  \"sweep\": [");
@@ -366,12 +327,6 @@ fn bench_scale_sweep(c: &mut Criterion) {
     g.bench_function("transpose_64x64_word_parallel", |bch| {
         bch.iter(|| {
             a.transpose_into_block(&mut out);
-            std::hint::black_box(out.row_bits(0))
-        })
-    });
-    g.bench_function("matmul_64x64_blocked", |bch| {
-        bch.iter(|| {
-            a.matmul_into_blocked(&b, &mut out);
             std::hint::black_box(out.row_bits(0))
         })
     });

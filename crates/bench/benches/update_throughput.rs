@@ -74,7 +74,9 @@ fn publish_cycle<'a>(
     let base_len = writer.base().store().len();
     let t = Instant::now();
     for _ in 0..count {
-        writer.insert_label(pool.next().expect("pool cycles forever"));
+        writer
+            .try_insert_label(pool.next().expect("pool cycles forever"))
+            .expect("the bench store has room");
     }
     let gen = writer.publish(live);
     (t.elapsed().as_nanos() as u64, gen.store().shards_touched_since(base_len))
@@ -242,7 +244,9 @@ fn bench_update_throughput(c: &mut Criterion) {
         // Sharded writer at the default capacity, filled to `size`.
         let mut writer = EngineWriter::from_fvl(fvl.clone());
         for _ in 0..size {
-            writer.insert_label(pool.next().expect("pool cycles forever"));
+            writer
+                .try_insert_label(pool.next().expect("pool cycles forever"))
+                .expect("the bench store has room");
         }
         let vref = writer.register_view(view.clone(), VariantKind::Default).unwrap();
         let live = LiveEngine::new(writer.base().clone());
@@ -253,7 +257,9 @@ fn bench_update_throughput(c: &mut Criterion) {
         // every staged chunk re-clones the whole store.
         let mut baseline_writer = EngineWriter::from_fvl_with_shard_capacity(fvl.clone(), u32::MAX);
         for _ in 0..size {
-            baseline_writer.insert_label(pool.next().expect("pool cycles forever"));
+            baseline_writer
+                .try_insert_label(pool.next().expect("pool cycles forever"))
+                .expect("the bench store has room");
         }
         let baseline_live = LiveEngine::new(baseline_writer.base().clone());
         baseline_writer.publish(&baseline_live);

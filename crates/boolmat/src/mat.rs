@@ -191,65 +191,11 @@ impl BoolMat {
         self.matmul_bits(other, out);
     }
 
-    /// Inner-dimension threshold above which [`BoolMat::matmul_into_blocked`]
-    /// beats the bit-serial kernel on dense rows: the blocked pass costs a
-    /// fixed `other.rows` iterations per 4-row group (branchless, so the
-    /// four accumulators pipeline), while bit-serial costs ~3 dependent ops
-    /// per *set* bit. Workflow port matrices (≤10 ports) stay bit-serial.
-    const MATMUL_BLOCK_MIN_INNER: usize = 16;
-
-    /// Density ceiling (in quarters of `other`'s cells) below which the
-    /// blocked kernel is dispatched. Above ~25% occupancy the bit-serial
-    /// kernel's saturated-row early exit kicks in after a handful of ORs
-    /// (the accumulator fills in ~`log` steps on dense operands) and beats
-    /// the blocked pass's fixed `other.rows` iterations; the microbench in
-    /// `wf-bench::scale_sweep` pins both regimes.
-    const MATMUL_BLOCK_MAX_QUARTER_DENSITY: u32 = 1;
-
+    /// The bit-serial kernel: for each set bit `k` of a source row, OR in
+    /// row `k` of `other`, with a saturated-row early exit.
     #[inline]
     fn matmul_bits(&self, other: &BoolMat, out: &mut BoolMat) {
         let _t = wf_profile::scope(wf_profile::Stage::Matmul);
-        if self.rows >= 4
-            && other.rows as usize >= Self::MATMUL_BLOCK_MIN_INNER
-            && Self::sparse_enough_for_block(other)
-        {
-            self.matmul_bits_blocked(other, out);
-        } else {
-            self.matmul_bits_serial(other, out);
-        }
-    }
-
-    /// `true` when `other`'s occupancy is at most
-    /// [`BoolMat::MATMUL_BLOCK_MAX_QUARTER_DENSITY`] quarters of its cells.
-    /// Costs one `popcnt` per row (≤ 64) — noise next to the multiply this
-    /// decision steers.
-    #[inline]
-    fn sparse_enough_for_block(other: &BoolMat) -> bool {
-        let ones: u32 = other.data.iter().map(|w| w.count_ones()).sum();
-        ones * 4 <= other.rows as u32 * other.cols as u32 * Self::MATMUL_BLOCK_MAX_QUARTER_DENSITY
-    }
-
-    /// One output row of the bit-serial kernel: for each set bit `k` of
-    /// `row`, OR in row `k` of `other`, with a saturated-row early exit.
-    #[inline]
-    fn row_product_serial(row: u64, other_rows: &[u64], full: u64) -> u64 {
-        let mut bits = row;
-        let mut acc = 0u64;
-        while bits != 0 {
-            let k = bits.trailing_zeros() as usize;
-            acc |= other_rows[k];
-            if acc == full {
-                // The row saturated every column: no further source bit
-                // can add anything (reachability rows close fast, so
-                // this fires often on transitively-closed matrices).
-                break;
-            }
-            bits &= bits - 1;
-        }
-        acc
-    }
-
-    fn matmul_bits_serial(&self, other: &BoolMat, out: &mut BoolMat) {
         let full = Self::col_mask(other.cols as usize);
         for (i, &row) in self.data.iter().enumerate() {
             // All-zero source rows contribute nothing; `out` is freshly
@@ -257,56 +203,21 @@ impl BoolMat {
             if row == 0 {
                 continue;
             }
-            out.data[i] = Self::row_product_serial(row, &other.data, full);
-        }
-    }
-
-    /// Blocked kernel: four source rows share one branchless pass over
-    /// `other`. Each inner step turns bit `k` of a source row into an
-    /// all-ones/all-zeros mask (`wrapping_neg` of the extracted bit) and
-    /// ANDs it with row `k` of `other` — no data-dependent branches, so the
-    /// four accumulators retire in parallel. Worth it once the inner
-    /// dimension is large *and* `other` is sparse enough that the serial
-    /// kernel's saturation exit stays cold; see `MATMUL_BLOCK_MIN_INNER`
-    /// and `MATMUL_BLOCK_MAX_QUARTER_DENSITY`.
-    fn matmul_bits_blocked(&self, other: &BoolMat, out: &mut BoolMat) {
-        let orows = &other.data[..];
-        let n = self.rows as usize;
-        let full = Self::col_mask(other.cols as usize);
-        let mut i = 0;
-        while i + 4 <= n {
-            let r = [self.data[i], self.data[i + 1], self.data[i + 2], self.data[i + 3]];
-            let mut acc = [0u64; 4];
-            for (k, &orow) in orows.iter().enumerate() {
-                acc[0] |= orow & ((r[0] >> k) & 1).wrapping_neg();
-                acc[1] |= orow & ((r[1] >> k) & 1).wrapping_neg();
-                acc[2] |= orow & ((r[2] >> k) & 1).wrapping_neg();
-                acc[3] |= orow & ((r[3] >> k) & 1).wrapping_neg();
+            let mut bits = row;
+            let mut acc = 0u64;
+            while bits != 0 {
+                let k = bits.trailing_zeros() as usize;
+                acc |= other.data[k];
+                if acc == full {
+                    // The row saturated every column: no further source
+                    // bit can add anything (reachability rows close fast,
+                    // so this fires often on transitively-closed matrices).
+                    break;
+                }
+                bits &= bits - 1;
             }
-            out.data[i..i + 4].copy_from_slice(&acc);
-            i += 4;
+            out.data[i] = acc;
         }
-        for (j, &row) in self.data.iter().enumerate().skip(i) {
-            out.data[j] = Self::row_product_serial(row, orows, full);
-        }
-    }
-
-    /// The bit-serial matmul kernel, callable directly. Exposed as the
-    /// reference implementation for the kernel-equivalence proptests and
-    /// the `scale_sweep` microbench; production code should use
-    /// [`BoolMat::matmul_into`], which dispatches by dimension.
-    pub fn matmul_into_bitserial(&self, other: &BoolMat, out: &mut BoolMat) {
-        debug_assert_eq!(self.cols, other.rows);
-        out.reset(self.rows as usize, other.cols as usize);
-        self.matmul_bits_serial(other, out);
-    }
-
-    /// The blocked 4-row matmul kernel, callable directly (same contract as
-    /// [`BoolMat::matmul_into_bitserial`]).
-    pub fn matmul_into_blocked(&self, other: &BoolMat, out: &mut BoolMat) {
-        debug_assert_eq!(self.cols, other.rows);
-        out.reset(self.rows as usize, other.cols as usize);
-        self.matmul_bits_blocked(other, out);
     }
 
     /// Matrix transpose. Algorithm 2 transposes the accumulated `Outputs`

@@ -1,8 +1,9 @@
-//! Kernel-equivalence pins: the word-parallel block transpose and the
-//! blocked 4-row matmul are pure speed plays — every variant (and the
-//! dimension-dispatched entry points) must be element-identical to the
-//! naive definitional loops on random matrices across the full dimension
-//! range, including the 0-row/0-col degenerates and the 64-wide edge.
+//! Kernel-equivalence pins: the word-parallel block transpose is a pure
+//! speed play — both transpose kernels (and the dimension-dispatched entry
+//! point), like the bit-serial matmul behind `matmul`/`matmul_into`, must
+//! be element-identical to the naive definitional loops on random matrices
+//! across the full dimension range, including the 0-row/0-col degenerates
+//! and the 64-wide edge.
 
 use proptest::prelude::*;
 use wf_boolmat::BoolMat;
@@ -81,8 +82,8 @@ proptest! {
         prop_assert_eq!(&m.transpose(), &expect);
     }
 
-    /// Both matmul kernels — and the dispatching `matmul_into` — agree
-    /// with the triple loop across random dimensions, including the
+    /// `matmul_into` (into a dirty matrix and a default one) and `matmul`
+    /// agree with the triple loop across random dimensions, including the
     /// degenerate 0-row/0-col/0-inner shapes.
     #[test]
     fn matmul_kernels_match_naive(
@@ -94,12 +95,9 @@ proptest! {
         let a = random_mat(r, m, seed);
         let b = random_mat(m, c, seed.rotate_left(17) ^ 0x9E37_79B9);
         let expect = naive_matmul(&a, &b);
-        let mut serial = BoolMat::complete(1, 1);
-        a.matmul_into_bitserial(&b, &mut serial);
-        prop_assert_eq!(&serial, &expect);
-        let mut blocked = BoolMat::complete(7, 2);
-        a.matmul_into_blocked(&b, &mut blocked);
-        prop_assert_eq!(&blocked, &expect);
+        let mut dirty = BoolMat::complete(7, 2);
+        a.matmul_into(&b, &mut dirty);
+        prop_assert_eq!(&dirty, &expect);
         let mut dispatched = BoolMat::default();
         a.matmul_into(&b, &mut dispatched);
         prop_assert_eq!(&dispatched, &expect);
@@ -107,9 +105,11 @@ proptest! {
     }
 }
 
-/// The occupancy crossover cases straddle `TRANSPOSE_BLOCK_MIN_CELLS` /
-/// `MATMUL_BLOCK_MIN_INNER`; pin the exact boundary dimensions so a future
-/// threshold tweak cannot silently change which kernel runs unverified.
+/// The occupancy crossover cases straddle `TRANSPOSE_BLOCK_MIN_CELLS`;
+/// pin the exact boundary dimensions so a future threshold tweak cannot
+/// silently change which kernel runs unverified. The matmul shapes (inner
+/// 15/16/17, row counts around 4, the full 64-wide product) are fixed
+/// regression cases for `matmul_into`.
 #[test]
 fn dispatch_boundaries_agree_with_naive() {
     for (rows, cols) in [(15, 17), (16, 16), (16, 15), (17, 15), (4, 64), (64, 4), (64, 64)] {

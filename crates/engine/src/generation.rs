@@ -423,23 +423,18 @@ impl EngineWriter {
     }
 
     /// Stages one data label; the returned id is valid from the next
-    /// publish on. Panics on a full store —
-    /// [`EngineWriter::try_insert_label`] is the typed form.
-    pub fn insert_label(&mut self, d: &DataLabel) -> ItemId {
-        self.try_insert_label(d).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Typed-error form of [`EngineWriter::insert_label`]. The staged
-    /// store is the single copy of the label — the delta writer
-    /// re-materializes the `base.len()..staged.len()` id range on demand,
-    /// so heavy ingest never pays double storage for its increment.
+    /// publish on. The staged store is the single copy of the label — the
+    /// delta writer re-materializes the `base.len()..staged.len()` id range
+    /// on demand, so heavy ingest never pays double storage for its
+    /// increment.
     pub fn try_insert_label(&mut self, d: &DataLabel) -> Result<ItemId, EngineError> {
         self.staged().try_insert(d)
     }
 
-    /// Stages a slice of labels in order.
+    /// Stages a slice of labels in order. Panics on a full store —
+    /// [`EngineWriter::try_insert_labels`] is the typed form.
     pub fn insert_labels(&mut self, labels: &[DataLabel]) -> Vec<ItemId> {
-        labels.iter().map(|d| self.insert_label(d)).collect()
+        self.try_insert_labels(labels).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Non-panicking [`EngineWriter::insert_labels`]: stops at the first

@@ -31,15 +31,15 @@
 //!   ingest over that same staging core: producers submit typed
 //!   [`IngestOp`]s into a bounded MPSC queue (typed backpressure, never
 //!   silent drops) and a publisher thread batches, coalesces and
-//!   publishes them on a [`PublishPolicy`] cadence, appending each
-//!   publish to an op-log whose replay converges byte-identically with
-//!   the live run;
-//! * [`DurableEngine`] / [`CompactionDriver`] — crash-safe durability
-//!   over that op-log: framed, checksummed, fsynced appends as the
-//!   acknowledgement barrier, a recovery reader that heals torn tails
-//!   and skips compaction-stale frames, background compaction that folds
-//!   the replayed head into a fresh base by atomic rename, and a
-//!   [`RetryPolicy`] absorbing transient sink faults.
+//!   publishes them on a [`PublishPolicy`] cadence;
+//! * [`DurableEngine`] / [`CompactionDriver`] — the pipeline's one
+//!   persistence path ([`PipelineOptions::durable`]): every publish's
+//!   delta record is framed, checksummed, appended and fsynced as the
+//!   acknowledgement barrier, a recovery reader heals torn tails, skips
+//!   compaction-stale frames and converges byte-identically with the
+//!   live run, background compaction folds the replayed head into a
+//!   fresh base by atomic rename, and a [`RetryPolicy`] absorbs transient
+//!   storage faults.
 //!
 //! Generations persist themselves in one format: [`EngineGeneration::save`]
 //! writes the interned store, the registered views and every compiled label
@@ -97,8 +97,8 @@ pub use frozen::{EngineCore, WorkerScratch};
 pub use generation::{EngineGeneration, EngineWriter, LiveEngine};
 pub use ingest::{
     classify_io_error, IngestError, IngestOp, IngestOutcome, IngestPipeline, IngestQueue,
-    IngestStats, PipelineOptions, PipelineReport, PublishPolicy, RetryPolicy, SharedSink,
-    SinkErrorClass, Ticket,
+    IngestStats, PipelineOptions, PipelineReport, PublishPolicy, RetryPolicy, SinkErrorClass,
+    Ticket,
 };
 pub use registry::{ViewId, ViewRef, ViewRegistry};
 pub use store::{ItemId, LabelStore};

@@ -400,19 +400,11 @@ impl LabelStore {
     /// id sequence, so inserting a run's labels in data-item order makes
     /// `ItemId(i)` coincide with the run's `DataId(i)`.
     ///
-    /// Panics if the store's `u32` id space is exhausted (≈ 4 × 10⁹ trie
-    /// nodes or labels) — [`LabelStore::try_insert`] is the non-panicking
-    /// form for ingest services that must survive a full store.
-    pub fn insert(&mut self, d: &DataLabel) -> ItemId {
-        self.try_insert(d).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// [`LabelStore::insert`] with the capacity contract surfaced as a
-    /// typed [`EngineError::StoreFull`] instead of a panic. A failed insert
-    /// stores no label; path nodes interned before the overflow was
-    /// detected remain in the tail shard's trie (they are consistent and
-    /// re-usable — the next successful insert of a sharing label picks
-    /// them up).
+    /// An exhausted `u32` id space (≈ 4 × 10⁹ trie nodes or labels) is a
+    /// typed [`EngineError::StoreFull`]. A failed insert stores no label;
+    /// path nodes interned before the overflow was detected remain in the
+    /// tail shard's trie (they are consistent and re-usable — the next
+    /// successful insert of a sharing label picks them up).
     pub fn try_insert(&mut self, d: &DataLabel) -> Result<ItemId, EngineError> {
         self.try_insert_bounded(d, ROOT)
     }
@@ -461,18 +453,12 @@ impl LabelStore {
         Ok(id)
     }
 
-    /// Interns a slice of labels, returning their ids (in order). Panics on
-    /// id-space exhaustion, like [`LabelStore::insert`].
-    pub fn insert_all(&mut self, labels: &[DataLabel]) -> Vec<ItemId> {
-        labels.iter().map(|d| self.insert(d)).collect()
-    }
-
-    /// Non-panicking [`LabelStore::insert_all`]: stops at the first label
-    /// that cannot be interned, leaving every earlier label stored. The
-    /// error is [`EngineError::BatchStoreFull`], carrying the index of the
-    /// label that failed — `labels[..index]` are stored, so a caller can
-    /// retry `labels[index..]` against a fresh store (or shard) without
-    /// double-inserting the prefix.
+    /// Interns a slice of labels, returning their ids (in order). Stops at
+    /// the first label that cannot be interned, leaving every earlier label
+    /// stored. The error is [`EngineError::BatchStoreFull`], carrying the
+    /// index of the label that failed — `labels[..index]` are stored, so a
+    /// caller can retry `labels[index..]` against a fresh store (or shard)
+    /// without double-inserting the prefix.
     pub fn try_insert_all(&mut self, labels: &[DataLabel]) -> Result<Vec<ItemId>, EngineError> {
         self.try_insert_all_bounded(labels, ROOT)
     }
@@ -484,11 +470,13 @@ impl LabelStore {
         labels: &[DataLabel],
         cap: u32,
     ) -> Result<Vec<ItemId>, EngineError> {
-        labels
-            .iter()
-            .enumerate()
-            .map(|(index, d)| self.try_insert_bounded(d, cap).map_err(|e| e.at_batch_index(index)))
-            .collect()
+        // Sized up front: collecting an iterator of `Result`s loses the
+        // exact length and would grow the id vector by doubling.
+        let mut ids = Vec::with_capacity(labels.len());
+        for (index, d) in labels.iter().enumerate() {
+            ids.push(self.try_insert_bounded(d, cap).map_err(|e| e.at_batch_index(index))?);
+        }
+        Ok(ids)
     }
 
     /// Number of stored labels.
@@ -612,7 +600,7 @@ impl LabelStore {
     /// mapped into its shard through a dense merged→local array stamped
     /// per shard; a node the shard has not seen yet is created there
     /// parent-first, which is exactly the node order
-    /// [`LabelStore::insert`] builds. No path is materialized and no hash
+    /// [`LabelStore::try_insert`] builds. No path is materialized and no hash
     /// lookup happens per label: full shards come out sealed, and only the
     /// tail's intern index is built, once, from its nodes.
     ///
@@ -841,7 +829,7 @@ mod tests {
         let (run, _) = figure3_run(&ex);
         let labeler = fvl.labeler(&run);
         let mut store = LabelStore::new();
-        let ids = store.insert_all(labeler.labels());
+        let ids = store.try_insert_all(labeler.labels()).unwrap();
         assert_eq!(store.len(), run.item_count());
         for (i, d) in labeler.labels().iter().enumerate() {
             assert_eq!(&store.materialize(ids[i]), d, "item {i}");
@@ -860,7 +848,7 @@ mod tests {
         let labeler = fvl.labeler(&run);
         for cap in [1u32, 2, 3, 7] {
             let mut store = LabelStore::with_shard_capacity(cap);
-            let ids = store.insert_all(labeler.labels());
+            let ids = store.try_insert_all(labeler.labels()).unwrap();
             let n = labeler.labels().len();
             assert_eq!(store.len(), n);
             assert_eq!(store.shard_count(), n.div_ceil(cap as usize), "cap {cap}");
@@ -928,7 +916,7 @@ mod tests {
         cap: u32,
     ) -> (LabelStore, wf_bitio::BitVec) {
         let mut built = LabelStore::with_shard_capacity(cap);
-        built.insert_all(labels);
+        built.try_insert_all(labels).unwrap();
         assert_sealed_layout(&built, "inserted");
         let mut wr = BitWriter::new();
         built.write_snapshot(fvl.codec(), &mut wr);
@@ -1030,7 +1018,7 @@ mod tests {
         let labels: Vec<DataLabel> = (0..4096 + 5).map(label).collect();
         for cap in [1u32, 3, 8, 4096, u32::MAX] {
             let mut store = LabelStore::with_shard_capacity(cap);
-            let ids = store.insert_all(&labels);
+            let ids = store.try_insert_all(&labels).unwrap();
             assert_sealed_layout(&store, "escaped");
             assert!(store.shards.iter().any(|s| !s.escaped.is_empty()), "cap {cap}");
             let (mut ob, mut ib) = (Vec::new(), Vec::new());
@@ -1054,7 +1042,7 @@ mod tests {
             let (nodes, escapes) =
                 (staged.shards[tail].nodes.len(), staged.shards[tail].escaped.len());
             if staged.shards[tail].labels.len() < cap as usize {
-                staged.insert(&labels[staged.len() - 1 - local]);
+                staged.try_insert(&labels[staged.len() - 1 - local]).unwrap();
                 assert_eq!(staged.shards[tail].nodes.len(), nodes, "cap {cap}");
                 assert_eq!(staged.shards[tail].escaped.len(), escapes, "cap {cap}");
             }
@@ -1062,12 +1050,12 @@ mod tests {
             // opens a fresh tail and shares every sealed `Arc`.
             if cap != u32::MAX {
                 while staged.len() % cap as usize != 0 {
-                    staged.insert(&labels[staged.len() % labels.len()]);
+                    staged.try_insert(&labels[staged.len() % labels.len()]).unwrap();
                 }
                 assert!(staged.shards.iter().all(|s| is_sealed(s, cap)), "cap {cap}");
             }
             let mut again = staged.clone();
-            let id = again.insert(&labels[0]);
+            let id = again.try_insert(&labels[0]).unwrap();
             assert_eq!(again.shards_touched_since(staged.len()), 1, "cap {cap}");
             for (a, b) in staged.shards.iter().zip(&again.shards).take(staged.len() / cap as usize)
             {
@@ -1151,7 +1139,7 @@ mod tests {
         let (run, _) = figure3_run(&ex);
         let labels = fvl.labeler(&run).labels().to_vec();
         let mut store = LabelStore::with_shard_capacity(8);
-        store.insert_all(&labels);
+        store.try_insert_all(&labels).unwrap();
         let shard_count = store.shard_count();
         assert!(shard_count >= 3, "the Figure 3 run should span several 8-item shards");
 
@@ -1160,7 +1148,7 @@ mod tests {
             assert!(Arc::ptr_eq(a, b), "a clone must share every shard");
         }
         let base_len = store.len();
-        staged.insert(&labels[0]);
+        staged.try_insert(&labels[0]).unwrap();
         let touched = staged.shards_touched_since(base_len);
         assert!(touched <= 2, "one insert touches at most the tail and a fresh shard");
         // Every full shard below the touched range is still the same Arc.
@@ -1183,14 +1171,14 @@ mod tests {
         let labels: Vec<DataLabel> =
             fvl.labeler(&run).labels().iter().cycle().take(24).cloned().collect();
         let mut store = LabelStore::with_shard_capacity(8);
-        store.insert_all(&labels);
+        store.try_insert_all(&labels).unwrap();
         assert_eq!(store.shard_count(), 3);
         assert!(store.shards.iter().all(|s| is_sealed(s, 8)), "three full shards are sealed");
 
         let deep = labels.iter().find(|d| d.out.as_ref().is_some_and(|p| !p.path.is_empty()));
         let deep = deep.expect("the Figure 3 run has labels below the root");
         let mut staged = store.clone();
-        staged.insert(deep);
+        staged.try_insert(deep).unwrap();
         assert_eq!(staged.shard_count(), 4);
         assert_eq!(staged.shards_touched_since(store.len()), 1);
         for (a, b) in store.shards.iter().zip(&staged.shards) {
@@ -1200,7 +1188,7 @@ mod tests {
         assert_sealed_layout(&staged, "staged");
 
         let mut again = staged.clone();
-        again.insert(&labels[1]);
+        again.try_insert(&labels[1]).unwrap();
         for (a, b) in staged.shards.iter().zip(&again.shards).take(3) {
             assert!(Arc::ptr_eq(a, b), "sealed shards stay shared");
         }
@@ -1216,7 +1204,7 @@ mod tests {
         let (run, _) = figure3_run(&ex);
         let labeler = fvl.labeler(&run);
         let mut store = LabelStore::new();
-        let ids = store.insert_all(labeler.labels());
+        let ids = store.try_insert_all(labeler.labels()).unwrap();
         let (mut ob, mut ib) = (Vec::new(), Vec::new());
         for (i, d) in labeler.labels().iter().enumerate() {
             let r = store.label_ref(ids[i], &mut ob, &mut ib);
@@ -1239,7 +1227,7 @@ mod tests {
         let (run, _) = figure3_run(&ex);
         let labeler = fvl.labeler(&run);
         let mut store = LabelStore::new();
-        let ids = store.insert_all(labeler.labels());
+        let ids = store.try_insert_all(labeler.labels()).unwrap();
 
         let mut w = BitWriter::new();
         store.write_snapshot(fvl.codec(), &mut w);
@@ -1257,7 +1245,7 @@ mod tests {
         // an existing label afresh reuses the shared trie (no new nodes).
         let mut grown = back;
         let (nodes_before, _) = grown.edge_stats();
-        grown.insert(&store.materialize(ids[0]));
+        grown.try_insert(&store.materialize(ids[0])).unwrap();
         assert_eq!(grown.edge_stats().0, nodes_before, "re-insert must not grow the trie");
     }
 
@@ -1273,7 +1261,7 @@ mod tests {
         let labels = fvl.labeler(&run).labels().to_vec();
         let snapshot = |cap: u32| {
             let mut store = LabelStore::with_shard_capacity(cap);
-            store.insert_all(&labels);
+            store.try_insert_all(&labels).unwrap();
             let mut w = BitWriter::new();
             store.write_snapshot(fvl.codec(), &mut w);
             w.finish()
@@ -1349,7 +1337,7 @@ mod tests {
         let root_edge = {
             let (run, _) = figure3_run(&ex);
             let mut s = LabelStore::new();
-            s.insert_all(fvl.labeler(&run).labels());
+            s.try_insert_all(fvl.labeler(&run).labels()).unwrap();
             let Node { parent, .. } = s.shards[0].nodes[0];
             assert_eq!(parent, ROOT);
             s.shards[0].edge(s.shards[0].nodes[0])
@@ -1386,7 +1374,7 @@ mod tests {
             let (run, _) = figure3_run(&ex);
             let labeler = fvl.labeler(&run);
             let mut s = LabelStore::new();
-            s.insert_all(labeler.labels());
+            s.try_insert_all(labeler.labels()).unwrap();
             s
         };
         let mut w = BitWriter::new();
@@ -1526,7 +1514,7 @@ mod tests {
         let (run, _) = figure3_run(&ex);
         let labeler = fvl.labeler(&run);
         let mut store = LabelStore::new();
-        store.insert_all(labeler.labels());
+        store.try_insert_all(labeler.labels()).unwrap();
         let (stored, raw) = store.edge_stats();
         assert!(
             stored * 2 < raw,

@@ -16,7 +16,7 @@ use wf_engine::{
     EngineWriter, IngestOp, IngestPipeline, LiveEngine, PipelineOptions, PublishPolicy,
     WorkerScratch,
 };
-use wf_snapshot::{FaultKind, FaultPlan, MemStorage, SnapshotError};
+use wf_snapshot::{scan_log, FaultKind, FaultPlan, MemStorage, SnapshotError};
 use wf_workloads::{bioaid, sample, views, Workload};
 
 fn shared_fvl(w: &Workload) -> Arc<Fvl<'static>> {
@@ -266,6 +266,79 @@ fn transient_faults_retry_and_fatal_faults_resolve_tickets() {
     let report = pipeline.shutdown();
     assert!(report.persist_error.is_some());
     assert_eq!(report.stats.persist_retries, 0, "fatal errors must not burn retries");
+}
+
+/// A failed append can leave a torn partial frame in storage.
+/// `DurableLog::append` truncates it back to the last frame boundary, so
+/// the retry lands on a clean tail instead of burying the torn bytes
+/// mid-log. Here a transient failure tears the first frame's header and a
+/// short write tears the second frame's payload: the retry policy absorbs
+/// both, and reopening recovers every acknowledged seqno with nothing to
+/// heal.
+#[test]
+fn torn_appends_roll_back_so_retries_recover_every_ack() {
+    let w = bioaid(3);
+    let fvl = shared_fvl(&w);
+    let pg = ProdGraph::new(&w.spec.grammar);
+    let mut rng = StdRng::seed_from_u64(21);
+    let (_, run) = sample::sample_run(&w, &pg, &mut rng, 60);
+    let labels = fvl.labeler(&run).labels().to_vec();
+    let chunks: Vec<_> = labels.chunks(labels.len() / 3 + 1).map(<[_]>::to_vec).collect();
+
+    // One publish per chunk: each ticket is waited out before the next push.
+    let ingest = |storage: &MemStorage| {
+        let (durable, gen0, _) =
+            DurableEngine::open(fvl.clone(), Box::new(storage.clone()), 64).unwrap();
+        let live = Arc::new(LiveEngine::new(gen0.clone()));
+        let options = PipelineOptions {
+            durable: Some(shared_durable(durable)),
+            ..PipelineOptions::default()
+        };
+        let pipeline = IngestPipeline::spawn_with(
+            EngineWriter::new(gen0),
+            live.clone(),
+            PublishPolicy { max_delay: Duration::from_millis(1), ..PublishPolicy::default() },
+            options,
+        );
+        let acked: Vec<u64> = chunks
+            .iter()
+            .map(|c| {
+                let t = pipeline.queue().push(IngestOp::InsertLabels(c.clone())).unwrap();
+                t.wait().expect("retries absorb the torn appends")
+            })
+            .collect();
+        (acked, pipeline.shutdown(), live.snapshot())
+    };
+
+    // A fault-free run fixes the frame layout the faults aim into.
+    let golden = MemStorage::new();
+    let (golden_acked, _, _) = ingest(&golden);
+    let golden_log = golden.contents().1;
+    let frames = scan_log(&golden_log).unwrap().frames;
+    assert_eq!(frames.len(), chunks.len(), "one frame per publish");
+    let first_len = frames[0].payload.end as u64;
+    let second_len = (frames[1].payload.end - frames[1].start) as u64;
+
+    // The plan meters every byte handed to `append_log`, torn ones
+    // included: 20 bytes into frame 1 (its header), then halfway into
+    // frame 2 once frame 1 has landed whole.
+    let torn_header = 20;
+    let plan = FaultPlan::new()
+        .at_byte(torn_header, FaultKind::Fail(std::io::ErrorKind::Interrupted))
+        .at_byte(torn_header + first_len + second_len / 2, FaultKind::ShortWrite);
+    let storage = MemStorage::with_plan(plan);
+    let (acked, report, final_gen) = ingest(&storage);
+    assert!(report.persist_error.is_none());
+    assert_eq!(report.stats.persist_retries, 2, "both torn appends were retried");
+    assert_eq!(acked, golden_acked);
+
+    let (_, recovered, recovery) =
+        DurableEngine::open(fvl.clone(), Box::new(storage.survivor()), 64)
+            .expect("a rolled-back log reopens");
+    assert_eq!(recovery.dropped_bytes, 0);
+    assert_eq!(recovered.seqno(), *acked.last().unwrap());
+    assert_eq!(save_bytes(&recovered), save_bytes(&final_gen));
+    assert!(storage.contents().1 == golden_log, "no torn byte survives a rollback");
 }
 
 /// `wait_timeout` bounds waiting on a stalled pipeline: `None` while the

@@ -1,7 +1,7 @@
 //! The ingest pipeline under fire: racing producers must converge to the
-//! same chain a sequential writer would build, the op-log must replay to
-//! byte-identical generations, and shutdown must drain — every accepted
-//! op resolves, none is silently dropped.
+//! same chain a sequential writer would build, the durable op-log must
+//! recover byte-identical generations, and shutdown must drain — every
+//! accepted op resolves, none is silently dropped.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -9,21 +9,35 @@ use std::sync::Arc;
 use wf_analysis::ProdGraph;
 use wf_core::{Fvl, VariantKind};
 use wf_engine::{
-    EngineError, EngineGeneration, EngineWriter, IngestOp, IngestPipeline, LiveEngine,
-    PipelineOptions, PublishPolicy, SharedSink, WorkerScratch,
+    shared_durable, DurableEngine, EngineError, EngineGeneration, EngineWriter, IngestOp,
+    IngestPipeline, LabelStore, LiveEngine, PipelineOptions, PublishPolicy, WorkerScratch,
 };
+use wf_snapshot::MemStorage;
 use wf_workloads::{bioaid, sample, views, Workload};
 
 fn shared_fvl(w: &Workload) -> Arc<Fvl<'static>> {
     Arc::new(Fvl::from_arc(Arc::new(w.spec.clone())).unwrap())
 }
 
+/// Recovers the newest generation from what `mem` holds now.
+fn recover(w: &Workload, mem: &MemStorage) -> Arc<EngineGeneration> {
+    let (_, gen, report) = DurableEngine::open(
+        shared_fvl(w),
+        Box::new(mem.survivor()),
+        LabelStore::DEFAULT_SHARD_CAPACITY,
+    )
+    .unwrap();
+    assert_eq!(report.dropped_bytes, 0, "a clean shutdown leaves no torn tail");
+    gen
+}
+
 /// Four producers race label chunks and view compilations through the
-/// pipeline while the op-log records every publish. Afterwards: all
-/// tickets resolved `Ok` in per-producer submission order, the live chain
-/// contains every label exactly once, and replaying `base ‖ op-log`
-/// yields a generation whose `save` bytes equal the live generation's —
-/// the multi-producer run and its replay are indistinguishable.
+/// pipeline while the durable op-log records every publish. Afterwards:
+/// all tickets resolved `Ok` in per-producer submission order, the live
+/// chain contains every label exactly once, and recovering `base ‖
+/// op-log` yields a generation whose `save` bytes equal the live
+/// generation's — the multi-producer run and its recovery are
+/// indistinguishable.
 #[test]
 fn racing_producers_converge_and_the_oplog_replays_byte_identically() {
     let w = bioaid(5);
@@ -42,8 +56,8 @@ fn racing_producers_converge_and_the_oplog_replays_byte_identically() {
     writer.register_view(view_a.clone(), VariantKind::Default).unwrap();
     let live = Arc::new(LiveEngine::new(writer.base().clone()));
     writer.publish(&live);
-    let mut stream = Vec::new();
-    writer.base().save(&mut stream).unwrap();
+    let mut base = Vec::new();
+    writer.base().save(&mut base).unwrap();
 
     let policy = PublishPolicy {
         queue_capacity: 64,
@@ -51,9 +65,13 @@ fn racing_producers_converge_and_the_oplog_replays_byte_identically() {
         max_delay: std::time::Duration::from_millis(1),
         ..PublishPolicy::default()
     };
-    let sink = SharedSink::new();
+    // Durable storage seeded with that base and an empty op-log.
+    let mem = MemStorage::with_state(Some(base), Vec::new());
+    let (durable, _, _) =
+        DurableEngine::open(fvl.clone(), Box::new(mem.clone()), LabelStore::DEFAULT_SHARD_CAPACITY)
+            .unwrap();
     let options =
-        PipelineOptions { sink: Some(Box::new(sink.clone())), ..PipelineOptions::default() };
+        PipelineOptions { durable: Some(shared_durable(durable)), ..PipelineOptions::default() };
     let pipeline = IngestPipeline::spawn_with(writer, live.clone(), policy, options);
 
     // Four producers, each owning a disjoint slice of the remaining pool;
@@ -105,10 +123,9 @@ fn racing_producers_converge_and_the_oplog_replays_byte_identically() {
     assert_eq!(final_gen.registry().view_count(), 2);
     assert_eq!(final_gen.registry().compiled_count(), 3);
 
-    // The op-log chains onto the base stream; replay must be
-    // byte-identical to the live result.
-    stream.extend_from_slice(&sink.contents());
-    let replayed = EngineGeneration::replay(shared_fvl(&w), &mut stream.as_slice()).unwrap();
+    // The op-log chains onto the base; recovery must be byte-identical
+    // to the live result.
+    let replayed = recover(&w, &mem);
     assert_eq!(replayed.seqno(), final_gen.seqno());
     let (mut a, mut b) = (Vec::new(), Vec::new());
     final_gen.save(&mut a).unwrap();
@@ -130,23 +147,28 @@ fn racing_producers_converge_and_the_oplog_replays_byte_identically() {
         );
     }
 
-    // Warm restart *continues the chain*: a new pipeline over the replayed
-    // generation publishes seqno n+1 and the stream keeps replaying.
-    let writer2 = EngineWriter::new(Arc::new(replayed));
+    // Warm restart *continues the chain*: a new pipeline over the
+    // recovered store publishes seqno n+1 and the log keeps recovering.
+    let restarted = mem.survivor();
+    let (durable2, recovered, _) = DurableEngine::open(
+        shared_fvl(&w),
+        Box::new(restarted.clone()),
+        LabelStore::DEFAULT_SHARD_CAPACITY,
+    )
+    .unwrap();
+    let writer2 = EngineWriter::new(recovered);
     let live2 = Arc::new(LiveEngine::new(writer2.base().clone()));
-    let sink2 = SharedSink::new();
     let pipeline2 = IngestPipeline::spawn_with(
         writer2,
         live2.clone(),
         PublishPolicy::default(),
-        PipelineOptions { sink: Some(Box::new(sink2.clone())), ..PipelineOptions::default() },
+        PipelineOptions { durable: Some(shared_durable(durable2)), ..PipelineOptions::default() },
     );
     let t = pipeline2.queue().push(IngestOp::InsertLabels(labels[..3].to_vec())).unwrap();
     let resumed_seq = t.wait().unwrap();
     assert_eq!(resumed_seq, final_gen.seqno() + 1);
     pipeline2.shutdown();
-    stream.extend_from_slice(&sink2.contents());
-    let resumed = EngineGeneration::replay(shared_fvl(&w), &mut stream.as_slice()).unwrap();
+    let resumed = recover(&w, &restarted);
     assert_eq!(resumed.seqno(), resumed_seq);
     assert_eq!(resumed.store().len(), live2.snapshot().store().len());
 }

@@ -74,7 +74,7 @@ fn base_plus_deltas_replay_to_the_published_state() {
     // Cold reference: one store and registry with everything, built from
     // the parts (no writer, no publish).
     let mut cold_store = LabelStore::new();
-    let items = cold_store.insert_all(&labels);
+    let items = cold_store.try_insert_all(&labels).unwrap();
     let mut cold_registry = ViewRegistry::new();
     let (a, b) = (cold_registry.add_view(view_a), cold_registry.add_view(view_b));
     let ca = cold_registry.compile(&fvl, a, VariantKind::Default).unwrap();
@@ -304,7 +304,7 @@ proptest! {
             let mut ref_ws = WorkerScratch::new();
             for (seqno, label_count, view_seeds) in &journal {
                 let mut store = LabelStore::new();
-                store.insert_all(&labels[..*label_count]);
+                store.try_insert_all(&labels[..*label_count]).unwrap();
                 let mut registry = ViewRegistry::new();
                 let id0 = registry.add_view(view0.clone());
                 let rref = registry.compile(&fvl, id0, kind).unwrap();

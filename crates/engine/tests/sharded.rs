@@ -119,7 +119,7 @@ proptest! {
             // The single-shard sequential reference (the pre-shard store),
             // built from the parts: no staging, no publish.
             let mut ref_store = LabelStore::with_shard_capacity(u32::MAX);
-            ref_store.insert_all(&labels[..initial]);
+            ref_store.try_insert_all(&labels[..initial]).unwrap();
             let mut ref_registry = ViewRegistry::new();
             let id0 = ref_registry.add_view(view0.clone());
             let rref = ref_registry.compile(&fvl, id0, kind).unwrap();
@@ -134,7 +134,7 @@ proptest! {
                 match op {
                     ChurnOp::Insert { count } => {
                         writer.insert_labels(&labels[next_label..next_label + count]);
-                        ref_store.insert_all(&labels[next_label..next_label + count]);
+                        ref_store.try_insert_all(&labels[next_label..next_label + count]).unwrap();
                         next_label += count;
                     }
                     ChurnOp::RegisterView { seed: vseed } => {

@@ -79,7 +79,7 @@ fn sealed_store_retains_at_most_28_bytes_per_label() {
     let labels = fvl.labeler(&run).labels().to_vec();
 
     let mut store = LabelStore::new();
-    let (ids, bytes) = retained(|| store.insert_all(&labels));
+    let (ids, bytes) = retained(|| store.try_insert_all(&labels).unwrap());
     drop(ids);
     assert!(store.shard_count() > 5, "at least five full shards: {}", store.shard_count());
     let per_label = bytes as f64 / labels.len() as f64;

@@ -18,8 +18,8 @@
 //!   reproduces the final generation's answers.
 //! * For every producer fleet raced through the [`IngestPipeline`]: each
 //!   published generation is element-identical to a sequential replay of
-//!   the ops in global ticket order, and the op-log prefix that produced
-//!   it replays to a **byte-identical** `save` image
+//!   the ops in global ticket order, and the durable op-log prefix that
+//!   produced it recovers to a **byte-identical** `save` image
 //!   ([`check_multi_producer`]).
 //!
 //! Any violation is reported as a [`Divergence`] naming the case seed it
@@ -31,12 +31,13 @@ use rand::{Rng, SeedableRng};
 use std::sync::{Arc, Mutex};
 use wf_core::{DataLabel, Fvl, QueryScratch, VariantKind};
 use wf_engine::{
-    EngineCore, EngineError, EngineGeneration, EngineWriter, IngestOp, IngestPipeline, IngestQueue,
-    ItemId, LabelStore, LiveEngine, PipelineOptions, PublishPolicy, SharedSink, Ticket, ViewRef,
-    ViewRegistry, WorkerScratch,
+    lock_durable, shared_durable, DurableEngine, EngineCore, EngineError, EngineGeneration,
+    EngineWriter, IngestOp, IngestPipeline, IngestQueue, ItemId, LabelStore, LiveEngine,
+    PipelineOptions, PublishPolicy, Ticket, ViewRef, ViewRegistry, WorkerScratch,
 };
 use wf_model::{View, ViewSpec};
 use wf_run::{DataId, RunOracle};
+use wf_snapshot::MemStorage;
 use wf_workloads::churn::{churn_stream, producer_churn_streams, ChurnOp, ChurnSpec};
 use wf_workloads::{sample, views, Workload};
 
@@ -76,6 +77,15 @@ pub fn check_spec(seed: u64, budget: usize) -> Result<DiffOutcome, Divergence> {
 
 fn fail_ctx(seed: u64, shape: &SpecShape) -> String {
     format!("case seed {seed:#x} (shape {shape:?})")
+}
+
+/// Grow a sequential reference store; a full store is a divergence, not a
+/// panic.
+fn ref_insert(store: &mut LabelStore, labels: &[DataLabel], ctx: &str) -> Result<(), Divergence> {
+    match store.try_insert_all(labels) {
+        Ok(_) => Ok(()),
+        Err(e) => diverge!("{ctx}: the sequential reference rejected an insert: {e}"),
+    }
 }
 
 fn check_workload(
@@ -297,7 +307,7 @@ pub fn check_live_churn(seed: u64, budget: usize, ops: usize) -> Result<DiffOutc
     let mut ref_registry = ViewRegistry::new();
     let mut ref_ws = WorkerScratch::new();
     let mut expected = Vec::new();
-    ref_store.insert_all(&labels[..spec.initial_items]);
+    ref_insert(&mut ref_store, &labels[..spec.initial_items], &fail_ctx(seed, &shape))?;
     let mut pending: Vec<ChurnOp> = Vec::new();
     let mut compiled: Vec<ViewRef> = Vec::new();
     let mut pending_compiled: Vec<ViewRef> = Vec::new();
@@ -385,7 +395,8 @@ pub fn check_live_churn(seed: u64, budget: usize, ops: usize) -> Result<DiffOutc
             // Inserts: mirror the published store length exactly.
             let published_len = writer.base().store().len();
             if ref_store.len() < published_len {
-                ref_store.insert_all(&labels[ref_store.len()..published_len]);
+                let fresh = &labels[ref_store.len()..published_len];
+                ref_insert(&mut ref_store, fresh, &fail_ctx(seed, &shape))?;
             }
             pending_compiled.retain(|r| {
                 if !compiled.contains(r) {
@@ -407,7 +418,8 @@ pub fn check_live_churn(seed: u64, budget: usize, ops: usize) -> Result<DiffOutc
     let final_gen = live.snapshot();
     let published_len = final_gen.store().len();
     if ref_store.len() < published_len {
-        ref_store.insert_all(&labels[ref_store.len()..published_len]);
+        let fresh = &labels[ref_store.len()..published_len];
+        ref_insert(&mut ref_store, fresh, &fail_ctx(seed, &shape))?;
     }
     for p in pending.drain(..) {
         if let ChurnOp::RegisterView { seed: vseed } = p {
@@ -557,18 +569,20 @@ fn producer_run(
 /// adversarial spec, a fleet of per-producer churn streams
 /// ([`producer_churn_streams`] — producer `p`'s stream is identical at
 /// every fleet width) and a randomized [`PublishPolicy`], then races
-/// `producers` threads through an [`IngestPipeline`] while the op-log
-/// sink records every publish. Three oracles must agree:
+/// `producers` threads through an [`IngestPipeline`] while a
+/// [`DurableEngine`] on [`MemStorage`] records every publish in its
+/// op-log. Three oracles must agree:
 ///
 /// 1. **Sequential replay** — applying the ops one by one in the global
 ///    [`Ticket::apply_index`] order to one label store and view registry,
 ///    queried through an [`EngineCore`], must reproduce *every published
 ///    generation* element-identically
 ///    (store length, and `all_pairs` over every compiled view).
-/// 2. **Op-log prefix replay** — for every published generation,
-///    [`EngineGeneration::replay`] of `base ‖ op-log-prefix` must land on
-///    a **byte-identical** `save` image: the racing run and its log are
-///    indistinguishable at every publish point, not just at the end.
+/// 2. **Op-log prefix recovery** — for every published generation,
+///    [`DurableEngine::open`] over `base ‖ op-log-prefix` must recover a
+///    **byte-identical** `save` image with no torn tail: the racing run
+///    and its log are indistinguishable at every publish point, not just
+///    at the end.
 /// 3. **Ticket contract** — every accepted op resolves `Ok`, one
 ///    producer's seqnos are non-decreasing in its submission order, and
 ///    no op resolves past the final published generation.
@@ -638,8 +652,8 @@ pub fn check_multi_producer(
     }
 
     // Base generation: seeded through the façade (initial items plus one
-    // compiled view the racing readers can query), saved as the stream
-    // head every prefix replay chains onto.
+    // compiled view the racing readers can query), saved as the durable
+    // base every prefix recovery chains onto.
     let mut writer = EngineWriter::from_fvl(fvl.clone());
     writer.insert_labels(&pool[..spec.initial_items]);
     let base_vref = writer
@@ -656,7 +670,7 @@ pub fn check_multi_producer(
     // The sequential reference starts from the same base, built from the
     // parts (no staging, no publish).
     let mut ref_store = LabelStore::new();
-    ref_store.insert_all(&pool[..spec.initial_items]);
+    ref_insert(&mut ref_store, &pool[..spec.initial_items], &ctx)?;
     let mut ref_registry = ViewRegistry::new();
     let base_id = ref_registry.add_view(w.spec.default_view());
     let ref_vref = ref_registry
@@ -675,18 +689,27 @@ pub fn check_multi_producer(
         max_batch_bytes: 1usize << rng.gen_range(8..20u32),
         max_delay: std::time::Duration::from_micros(rng.gen_range(100..2000)),
     };
-    let sink = SharedSink::new();
+    let mem = MemStorage::with_state(Some(base_bytes.clone()), Vec::new());
+    let durable = match DurableEngine::open(
+        fvl.clone(),
+        Box::new(mem.clone()),
+        LabelStore::DEFAULT_SHARD_CAPACITY,
+    ) {
+        Ok((durable, _, _)) => shared_durable(durable),
+        Err(e) => diverge!("{ctx}: opening the durable base failed: {e}"),
+    };
     // (generation, op-log bytes at publish time) pairs, in publish order.
-    type PublishLog = Mutex<Vec<(Arc<EngineGeneration>, usize)>>;
+    type PublishLog = Mutex<Vec<(Arc<EngineGeneration>, u64)>>;
     let published: Arc<PublishLog> = Arc::new(Mutex::new(Vec::new()));
     let hook = {
-        let sink = sink.clone();
+        let durable = durable.clone();
         let published = published.clone();
         move |g: &Arc<EngineGeneration>| {
-            // The sink length *at publish time* delimits the op-log prefix
-            // that produced this generation (the record is appended before
+            // The log length *at publish time* delimits the op-log prefix
+            // that produced this generation (the frame is appended before
             // the swap, on this same thread).
-            published.lock().expect("publish log poisoned").push((g.clone(), sink.len()));
+            let bytes = lock_durable(&durable).status().bytes;
+            published.lock().expect("publish log poisoned").push((g.clone(), bytes));
         }
     };
     let pipeline = IngestPipeline::spawn_with(
@@ -694,7 +717,7 @@ pub fn check_multi_producer(
         live.clone(),
         policy,
         PipelineOptions {
-            sink: Some(Box::new(sink.clone())),
+            durable: Some(durable),
             on_publish: Some(Box::new(hook)),
             ..PipelineOptions::default()
         },
@@ -756,7 +779,7 @@ pub fn check_multi_producer(
     }
     ordered.sort_by_key(|&(ix, _, _)| ix);
     let published = std::mem::take(&mut *published.lock().expect("publish log poisoned"));
-    let oplog = sink.contents();
+    let (_, oplog) = mem.contents();
 
     // Walk the published chain: before comparing generation s, apply every
     // op that resolved with seqno ≤ s to the sequential reference (ops a
@@ -776,7 +799,7 @@ pub fn check_multi_producer(
         while ptr < ordered.len() && ordered[ptr].1 <= gen.seqno() {
             match &ordered[ptr].2 {
                 ProducerOp::Insert { from, to } => {
-                    ref_store.insert_all(&pool[*from..*to]);
+                    ref_insert(&mut ref_store, &pool[*from..*to], &ctx)?
                 }
                 ProducerOp::Compile { vseed } => {
                     let (view, kind) = churn_view(&w, *vseed);
@@ -819,18 +842,30 @@ pub fn check_multi_producer(
             out.queries += (items.len() * items.len()) as u64;
         }
 
-        // Byte-identical with the op-log prefix replay.
-        let mut stream = base_bytes.clone();
-        stream.extend_from_slice(&oplog[..*prefix_len]);
-        let replayed =
-            EngineGeneration::replay(fvl.clone(), &mut stream.as_slice()).map_err(|e| {
-                Divergence(format!("{ctx}: op-log replay failed at seqno {}: {e}", gen.seqno()))
-            })?;
+        // Byte-identical with the recovery of the op-log prefix.
+        let prefix = MemStorage::with_state(
+            Some(base_bytes.clone()),
+            oplog[..*prefix_len as usize].to_vec(),
+        );
+        let (_, replayed, recovery) =
+            DurableEngine::open(fvl.clone(), Box::new(prefix), LabelStore::DEFAULT_SHARD_CAPACITY)
+                .map_err(|e| {
+                    Divergence(format!(
+                        "{ctx}: op-log recovery failed at seqno {}: {e}",
+                        gen.seqno()
+                    ))
+                })?;
+        if recovery.dropped_bytes != 0 {
+            diverge!(
+                "{ctx}: a publish-time op-log prefix has a torn tail at seqno {}",
+                gen.seqno()
+            );
+        }
         let (mut a, mut b) = (Vec::new(), Vec::new());
         gen.save(&mut a).map_err(|e| Divergence(format!("{ctx}: live save failed: {e}")))?;
         replayed.save(&mut b).map_err(|e| Divergence(format!("{ctx}: replay save failed: {e}")))?;
         if a != b {
-            diverge!("{ctx}: op-log replay is not byte-identical at seqno {}", gen.seqno());
+            diverge!("{ctx}: op-log recovery is not byte-identical at seqno {}", gen.seqno());
         }
     }
     if ptr < ordered.len() {

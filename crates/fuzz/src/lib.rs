@@ -22,8 +22,8 @@
 //!   published generation against a sequential single-generation engine;
 //!   plus a multi-producer mode that races producer fleets through the
 //!   `IngestPipeline` and demands every published generation match a
-//!   sequential replay in ticket order *and* a byte-identical op-log
-//!   prefix replay.
+//!   sequential replay in ticket order *and* a byte-identical durable
+//!   recovery of its op-log prefix.
 //! * [`mutate`] — a **mutation fuzzer for the snapshot/delta decoders**:
 //!   valid containers produced by `EngineGeneration::save` /
 //!   `publish_with_delta` are bit-flipped, truncated, spliced, reordered

@@ -1,14 +1,12 @@
 //! Deterministic fault injection for the persistence stack.
 //!
-//! Three layers, all script-driven and repeatable:
+//! Two layers, both script-driven and repeatable:
 //!
-//! * [`FaultPlan`] — a script of faults, each firing at the N-th write
-//!   call or the N-th byte of the cumulative output stream: fail with a
-//!   chosen [`std::io::ErrorKind`], short-write, or crash (every later
-//!   operation fails).
-//! * [`FaultSink`] / [`FaultFile`] — `io::Write` adapters carrying a
-//!   plan, for the pipeline's plain-sink path and for unit tests that
-//!   need a torn byte stream.
+//! * [`FaultPlan`] — a script of faults, each firing at the N-th log
+//!   append or the N-th byte of the cumulative appended stream: fail with
+//!   a chosen [`std::io::ErrorKind`], short-write, or crash (every later
+//!   operation fails). A fault that fires mid-append leaves the bytes
+//!   before its trigger in the log, exactly like a torn write.
 //! * [`MemStorage`] — a fault-injectable in-memory
 //!   [`crate::durable::Storage`] that *counts mutation points* (every
 //!   appended byte, every atomic rename/truncate, every fsync) and can
@@ -16,7 +14,7 @@
 //!   campaign enumerates `0..points()` to kill the write path at every
 //!   frame and byte boundary, then recovers from the surviving bytes.
 
-use std::io::{self, Write};
+use std::io;
 use std::sync::{Arc, Mutex};
 
 use crate::durable::Storage;
@@ -24,12 +22,15 @@ use crate::durable::Storage;
 /// What a planned fault does when it fires.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultKind {
-    /// Return `Err` of this kind; nothing past the trigger is written.
+    /// Return `Err` of this kind; the bytes before the trigger are
+    /// written, nothing past it.
     /// `ErrorKind::Interrupted` / `WouldBlock` / `TimedOut` model
     /// transient failures a retry policy should absorb.
     Fail(io::ErrorKind),
-    /// Accept only the bytes up to the trigger and return `Ok(n)` with
-    /// `n` short of the buffer (0 if the trigger is at the call start).
+    /// Accept only the bytes up to the trigger (none if the trigger is at
+    /// the call start) and stop there. An append is all-or-error, so the
+    /// short write surfaces as [`std::io::ErrorKind::Interrupted`]: the
+    /// storage is fine, the append just has to be retried whole.
     ShortWrite,
     /// Like `Fail` with `ErrorKind::Other`, but permanent: every
     /// subsequent operation fails too. The bytes accepted before the
@@ -40,7 +41,7 @@ pub enum FaultKind {
 /// When a planned fault fires.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultAt {
-    /// On the N-th write call (0-based), before any of its bytes.
+    /// On the N-th append call (0-based), before any of its bytes.
     Call(u64),
     /// When the cumulative accepted byte stream reaches offset N.
     Byte(u64),
@@ -60,16 +61,6 @@ pub struct FaultPlan {
     calls: u64,
     bytes: u64,
     crashed: bool,
-}
-
-/// What the plan decided for one write attempt.
-enum FaultAction {
-    /// No fault: accept the whole buffer.
-    Pass,
-    /// Accept `accept` bytes, then return this error.
-    Fail { accept: usize, error: io::Error },
-    /// Accept `accept` bytes and report a short write.
-    Short { accept: usize },
 }
 
 impl FaultPlan {
@@ -109,10 +100,11 @@ impl FaultPlan {
     }
 
     /// Decide what happens to a write of `len` bytes, advancing the call
-    /// and byte counters.
-    fn on_write(&mut self, len: usize) -> FaultAction {
+    /// and byte counters: `None` accepts the whole buffer, `Some((accept,
+    /// error))` accepts only its first `accept` bytes and fails.
+    fn on_write(&mut self, len: usize) -> Option<(usize, io::Error)> {
         if self.crashed {
-            return FaultAction::Fail { accept: 0, error: Self::crash_error() };
+            return Some((0, Self::crash_error()));
         }
         let call = self.calls;
         self.calls += 1;
@@ -133,87 +125,22 @@ impl FaultPlan {
         }
         let Some((accept, idx)) = best else {
             self.bytes += len as u64;
-            return FaultAction::Pass;
+            return None;
         };
         let kind = self.faults[idx].kind;
         self.bytes += accept as u64;
-        match kind {
-            FaultKind::Fail(ek) => {
-                self.faults.remove(idx);
-                FaultAction::Fail { accept, error: io::Error::new(ek, "injected fault") }
-            }
+        let error = match kind {
+            FaultKind::Fail(ek) => io::Error::new(ek, "injected fault"),
             FaultKind::ShortWrite => {
-                self.faults.remove(idx);
-                FaultAction::Short { accept }
+                io::Error::new(io::ErrorKind::Interrupted, "injected short write")
             }
             FaultKind::Crash => {
                 self.crashed = true;
-                FaultAction::Fail { accept, error: Self::crash_error() }
+                return Some((accept, Self::crash_error()));
             }
-        }
-    }
-}
-
-/// An `io::Write` wrapper that injects the plan's faults into writes to
-/// the inner sink.
-pub struct FaultSink<W> {
-    inner: W,
-    plan: FaultPlan,
-}
-
-impl<W: Write> FaultSink<W> {
-    /// Wrap `inner` with a fault script.
-    pub fn new(inner: W, plan: FaultPlan) -> Self {
-        Self { inner, plan }
-    }
-
-    /// The wrapped sink (for inspecting what survived).
-    pub fn into_inner(self) -> W {
-        self.inner
-    }
-
-    /// True once an injected `Crash` has fired.
-    pub fn crashed(&self) -> bool {
-        self.plan.crashed()
-    }
-}
-
-impl<W: Write> Write for FaultSink<W> {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        match self.plan.on_write(buf.len()) {
-            FaultAction::Pass => self.inner.write(buf),
-            FaultAction::Fail { accept, error } => {
-                self.inner.write_all(&buf[..accept])?;
-                Err(error)
-            }
-            FaultAction::Short { accept } => {
-                self.inner.write_all(&buf[..accept])?;
-                Ok(accept)
-            }
-        }
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        if self.plan.crashed {
-            return Err(FaultPlan::crash_error());
-        }
-        self.inner.flush()
-    }
-}
-
-/// An in-memory file with an injected fault script — [`FaultSink`] over
-/// an owned buffer, with accessors for what survived.
-pub type FaultFile = FaultSink<Vec<u8>>;
-
-impl FaultFile {
-    /// An in-memory faulty file starting empty.
-    pub fn with_plan(plan: FaultPlan) -> Self {
-        FaultSink::new(Vec::new(), plan)
-    }
-
-    /// The bytes that made it into the file so far.
-    pub fn bytes(&self) -> &[u8] {
-        &self.inner
+        };
+        self.faults.remove(idx);
+        Some((accept, error))
     }
 }
 
@@ -227,8 +154,8 @@ struct MemInner {
     /// Crash instead of executing this mutation point.
     crash_at: Option<u64>,
     crashed: bool,
-    /// Call-indexed fault script for `append_log` (transient-error and
-    /// short-write experiments; crashes use the point counter instead).
+    /// Fault script for `append_log` (transient-error, short-write and
+    /// torn-append experiments; crash campaigns use the point counter).
     plan: FaultPlan,
 }
 
@@ -251,7 +178,8 @@ impl MemStorage {
         Self::default()
     }
 
-    /// Empty storage with an append-path fault script.
+    /// Empty storage with an append-path fault script. A `Crash` in the
+    /// plan latches the whole storage, like [`MemStorage::crash_at_point`].
     pub fn with_plan(plan: FaultPlan) -> Self {
         let s = Self::default();
         s.lock().plan = plan;
@@ -350,31 +278,23 @@ impl Storage for MemStorage {
         if inner.crashed {
             return Err(FaultPlan::crash_error());
         }
-        match inner.plan.on_write(bytes.len()) {
-            FaultAction::Fail { accept: _, error } => return Err(error),
-            FaultAction::Short { accept } => {
-                // Model a short write that the caller never resumes: only
-                // the accepted prefix lands (byte points still metered).
-                for &b in &bytes[..accept] {
-                    inner.step()?;
-                    inner.log.push(b);
-                }
-                return Err(io::Error::new(io::ErrorKind::WriteZero, "injected short write"));
-            }
-            FaultAction::Pass => {}
-        }
-        // Fast path when no crash is scheduled inside this append.
-        let end = inner.points + bytes.len() as u64;
+        // A planned fault still lands the bytes before its trigger: the
+        // torn prefix a real failed or short write leaves behind.
+        let fault = inner.plan.on_write(bytes.len());
+        let prefix = &bytes[..fault.as_ref().map_or(bytes.len(), |(accept, _)| *accept)];
+        // Fast path when no crash point is scheduled inside this append.
+        let end = inner.points + prefix.len() as u64;
         if inner.crash_at.is_none_or(|c| c >= end) {
             inner.points = end;
-            inner.log.extend_from_slice(bytes);
-            return Ok(());
+            inner.log.extend_from_slice(prefix);
+        } else {
+            for &b in prefix {
+                inner.step()?;
+                inner.log.push(b);
+            }
         }
-        for &b in bytes {
-            inner.step()?;
-            inner.log.push(b);
-        }
-        Ok(())
+        inner.crashed |= inner.plan.crashed();
+        fault.map_or(Ok(()), |(_, error)| Err(error))
     }
 
     fn sync_log(&mut self) -> io::Result<()> {
@@ -404,52 +324,64 @@ mod tests {
     #[test]
     fn call_fault_fires_once_then_clears() {
         let plan = FaultPlan::new().at_call(1, FaultKind::Fail(io::ErrorKind::Interrupted));
-        let mut sink = FaultFile::with_plan(plan);
-        assert_eq!(sink.write(b"one").unwrap(), 3);
-        let err = sink.write(b"two").unwrap_err();
+        let mut s = MemStorage::with_plan(plan);
+        s.append_log(b"one").unwrap();
+        let err = s.append_log(b"two").unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::Interrupted);
-        assert_eq!(sink.write(b"two").unwrap(), 3);
-        assert_eq!(sink.bytes(), b"onetwo");
+        s.append_log(b"two").unwrap();
+        assert_eq!(s.contents().1, b"onetwo");
     }
 
     #[test]
     fn byte_fault_cuts_mid_buffer() {
         let plan = FaultPlan::new().at_byte(5, FaultKind::Crash);
-        let mut sink = FaultFile::with_plan(plan);
-        let err = sink.write_all(b"0123456789").unwrap_err();
+        let mut s = MemStorage::with_plan(plan);
+        let err = s.append_log(b"0123456789").unwrap_err();
         assert_eq!(err.to_string(), FaultPlan::crash_error().to_string());
-        assert!(sink.crashed());
-        assert_eq!(sink.bytes(), b"01234");
-        assert!(sink.write_all(b"later").is_err());
-        assert!(sink.flush().is_err());
+        assert!(s.crashed());
+        assert_eq!(s.survivor().contents().1, b"01234");
+        assert!(s.append_log(b"later").is_err());
+        assert!(s.sync_log().is_err());
+        assert!(s.truncate_log(0).is_err(), "a crash latches every later operation");
+    }
+
+    #[test]
+    fn byte_fail_leaves_the_accepted_prefix_and_meters_it() {
+        let plan = FaultPlan::new().at_byte(3, FaultKind::Fail(io::ErrorKind::Interrupted));
+        let mut s = MemStorage::with_plan(plan);
+        let err = s.append_log(b"abcdef").unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::Interrupted);
+        assert!(!s.crashed(), "a Fail fault is one-shot, not a crash");
+        assert_eq!(s.contents().1, b"abc", "the torn prefix stays in the log");
+        assert_eq!(s.points(), 3, "each landed byte is a mutation point");
+        // The caller's rollback heals it; the next append flows normally.
+        s.truncate_log(0).unwrap();
+        s.append_log(b"abcdef").unwrap();
+        assert_eq!(s.contents().1, b"abcdef");
     }
 
     #[test]
     fn short_write_accepts_a_prefix() {
         let plan = FaultPlan::new().at_byte(2, FaultKind::ShortWrite);
-        let mut sink = FaultFile::with_plan(plan);
-        assert_eq!(sink.write(b"abcdef").unwrap(), 2);
-        assert_eq!(sink.bytes(), b"ab");
+        let mut s = MemStorage::with_plan(plan);
+        let err = s.append_log(b"abcdef").unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::Interrupted);
+        assert_eq!(s.contents().1, b"ab");
         // One-shot: the rest of the stream flows normally.
-        sink.write_all(b"cdef").unwrap();
-        assert_eq!(sink.bytes(), b"abcdef");
+        s.append_log(b"cdef").unwrap();
+        assert_eq!(s.contents().1, b"abcdef");
     }
 
     #[test]
     fn transient_calls_build_consecutive_failures() {
         let plan = FaultPlan::new().transient_calls(0, 2);
-        let mut sink = FaultFile::with_plan(plan);
-        assert!(sink.write(b"x").is_err());
-        assert!(sink.write(b"x").is_err());
-        assert_eq!(sink.write(b"x").unwrap(), 1);
-        assert_eq!(sink.bytes(), b"x");
-        // `write_all` transparently retries Interrupted — the same plan
-        // under `write_all` succeeds in one call, which is exactly why
-        // the pipeline's RetryPolicy matters for the *storage* path.
-        let plan = FaultPlan::new().transient_calls(0, 2);
-        let mut sink = FaultFile::with_plan(plan);
-        sink.write_all(b"y").unwrap();
-        assert_eq!(sink.bytes(), b"y");
+        let mut s = MemStorage::with_plan(plan);
+        // `append_log` never retries on its own — absorbing transient
+        // faults is the pipeline's `RetryPolicy`'s job.
+        assert_eq!(s.append_log(b"x").unwrap_err().kind(), io::ErrorKind::Interrupted);
+        assert_eq!(s.append_log(b"x").unwrap_err().kind(), io::ErrorKind::Interrupted);
+        s.append_log(b"x").unwrap();
+        assert_eq!(s.contents().1, b"x");
     }
 
     #[test]

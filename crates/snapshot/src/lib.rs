@@ -10,7 +10,7 @@
 //! compact enough to store) and of repository-scale provenance services,
 //! which assume a persisted index shared by many query processes.
 //!
-//! Three layers:
+//! Its modules:
 //!
 //! * [`container`] — the byte-level envelope: magic, format version,
 //!   specification fingerprint, payload bit-length, FNV-1a checksum, then
@@ -30,9 +30,9 @@
 //!   reader that truncates a torn tail (mid-stream damage stays a hard
 //!   [`SnapshotError::LogCorrupted`]), and the atomic
 //!   write-temp → fsync → rename base swap compaction relies on.
-//! * [`fault`] — deterministic fault injection ([`FaultSink`],
-//!   [`FaultFile`], crash-point-metered [`MemStorage`]) so every torn
-//!   write and kill point above is exercisable in tests and fuzzing.
+//! * [`fault`] — deterministic fault injection (a [`FaultPlan`] script
+//!   driving the crash-point-metered [`MemStorage`]) so every torn write
+//!   and kill point above is exercisable in tests and fuzzing.
 //!
 //! The payload *sections* live with the data they serialize:
 //! [`wf_core::snapshot`] provides matrix / dependency-assignment
@@ -59,6 +59,6 @@ pub use durable::{
     BASE_FILE, FRAME_HEADER_BYTES, FRAME_MAGIC, LOG_FILE,
 };
 pub use error::SnapshotError;
-pub use fault::{FaultAt, FaultFile, FaultKind, FaultPlan, FaultSink, MemStorage};
+pub use fault::{FaultAt, FaultKind, FaultPlan, MemStorage};
 pub use fingerprint::spec_fingerprint;
 pub use view::{read_view, write_view};

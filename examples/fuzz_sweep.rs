@@ -16,7 +16,7 @@
 //!    races a fleet of producer threads through the `IngestPipeline`
 //!    (fleet width cycling 1/2/4) and demands every published generation
 //!    match a sequential replay in global ticket order *and* a
-//!    byte-identical op-log prefix replay.
+//!    byte-identical durable recovery of its op-log prefix.
 //!    Campaign 2¾, **crash injection**, follows: each campaign drives a
 //!    deterministic publish/compact schedule over a metered in-memory
 //!    storage and kills it at every mutation point (every log byte,

@@ -149,7 +149,7 @@ fn main() {
 
     // The cold reference is built from the parts: one store, one registry.
     let mut cold_store = LabelStore::new();
-    let all_items = cold_store.insert_all(&labels[..last.store().len()]);
+    let all_items = cold_store.try_insert_all(&labels[..last.store().len()]).unwrap();
     let mut cold_registry = ViewRegistry::new();
     let cold_id = cold_registry.add_view(view);
     let cold_ref = cold_registry.compile(&fvl, cold_id, VariantKind::Default).unwrap();

@@ -8,14 +8,15 @@
 //! and gets a [`Ticket`] per op that resolves to the seqno of the
 //! generation that published it. One publisher thread drains the queue,
 //! coalesces ops into copy-on-write staging, appends every publish's
-//! delta record to a shared op-log sink, and swaps generations into the
-//! [`LiveEngine`] — which two reader threads query throughout, lock-free.
+//! delta record to a durable op-log ([`DurableEngine`], here on in-memory
+//! [`MemStorage`]), and swaps generations into the [`LiveEngine`] — which
+//! two reader threads query throughout, lock-free.
 //!
 //! Shutdown is graceful by contract: closing the queue lets the publisher
 //! drain and publish everything already accepted, so every ticket
-//! resolves. The accumulated `base ‖ op-log` stream then replays to the
-//! exact final generation — and a *new* pipeline resumes ingesting on top
-//! of the reloaded state.
+//! resolves. Recovering `base ‖ op-log` then lands on the exact final
+//! generation — and a *new* pipeline resumes ingesting on top of the
+//! recovered state, through the same log.
 //!
 //! Run with: `cargo run --release --example multi_ingest`
 
@@ -24,10 +25,11 @@ use rand::SeedableRng;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use wfprov::engine::{
-    EngineCore, EngineGeneration, EngineWriter, IngestOp, IngestPipeline, ItemId, LabelStore,
-    LiveEngine, PipelineOptions, PublishPolicy, SharedSink, Ticket, ViewRegistry, WorkerScratch,
+    shared_durable, DurableEngine, EngineCore, EngineWriter, IngestOp, IngestPipeline, ItemId,
+    LabelStore, LiveEngine, PipelineOptions, PublishPolicy, Ticket, ViewRegistry, WorkerScratch,
 };
 use wfprov::fvl::{Fvl, VariantKind};
+use wfprov::snapshot::MemStorage;
 use wfprov::workloads::{bioaid, sample, views};
 
 const PRODUCERS: usize = 4;
@@ -49,24 +51,30 @@ fn main() {
     let view = views::random_safe_view(&w, &mut rng, 8);
 
     // --- Base generation: an initial view the readers can query, saved
-    // as the head of the op-log stream. ----------------------------------
+    // as the durable store's base snapshot. ------------------------------
     let mut writer = EngineWriter::from_fvl(fvl.clone());
     let vref = writer.register_view(view.clone(), VariantKind::Default).unwrap();
     let live = Arc::new(LiveEngine::new(writer.base().clone()));
     writer.publish(&live);
-    let mut disk = Vec::new();
-    writer.base().save(&mut disk).unwrap();
-    println!("base generation saved: {} bytes, 1 compiled view", disk.len());
+    let mut base = Vec::new();
+    writer.base().save(&mut base).unwrap();
+    println!("base generation saved: {} bytes, 1 compiled view", base.len());
+    let storage = MemStorage::with_state(Some(base), Vec::new());
+    let (durable, _, _) = DurableEngine::open(
+        fvl.clone(),
+        Box::new(storage.clone()),
+        LabelStore::DEFAULT_SHARD_CAPACITY,
+    )
+    .unwrap();
 
-    // --- The pipeline: one publisher thread, an op-log sink, and as many
-    // producers as want to push. -----------------------------------------
-    let sink = SharedSink::new();
+    // --- The pipeline: one publisher thread, a durable op-log, and as
+    // many producers as want to push. ------------------------------------
     let policy = PublishPolicy { max_batch_ops: 64, ..PublishPolicy::default() };
     let pipeline = IngestPipeline::spawn_with(
         writer,
         live.clone(),
         policy,
-        PipelineOptions { sink: Some(Box::new(sink.clone())), ..PipelineOptions::default() },
+        PipelineOptions { durable: Some(shared_durable(durable)), ..PipelineOptions::default() },
     );
 
     let stop = AtomicBool::new(false);
@@ -151,20 +159,28 @@ fn main() {
         last.store().len(),
     );
 
-    // --- The racing run is replayable: base ‖ op-log lands on the exact
-    // final generation, answers included. --------------------------------
-    disk.extend_from_slice(&sink.contents());
+    // --- The racing run is recoverable: base ‖ op-log lands on the exact
+    // final generation, bytes and answers included. ----------------------
+    let restarted = storage.survivor();
+    let (base_bytes, log_bytes) = restarted.contents();
     let fvl2 = Arc::new(Fvl::from_arc(Arc::new(w.spec.clone())).unwrap());
-    let replayed = EngineGeneration::replay(fvl2, &mut disk.as_slice()).unwrap();
+    let (durable2, replayed, recovery) =
+        DurableEngine::open(fvl2, Box::new(restarted.clone()), LabelStore::DEFAULT_SHARD_CAPACITY)
+            .unwrap();
+    assert_eq!(recovery.dropped_bytes, 0, "a clean shutdown leaves no torn tail");
     assert_eq!(replayed.seqno(), last.seqno());
     assert_eq!(replayed.store().len(), last.store().len());
+    let (mut live_image, mut replayed_image) = (Vec::new(), Vec::new());
+    last.save(&mut live_image).unwrap();
+    replayed.save(&mut replayed_image).unwrap();
+    assert_eq!(live_image, replayed_image, "recovery must reproduce the live generation");
 
     // The store's id order *is* the global apply order — materialize it
     // back out to rebuild the same state cold, from the parts.
     let store = report.writer.base().store();
     let ordered: Vec<_> = (0..store.len() as u32).map(|i| store.materialize(ItemId(i))).collect();
     let mut cold_store = LabelStore::new();
-    let all_items = cold_store.insert_all(&ordered);
+    let all_items = cold_store.try_insert_all(&ordered).unwrap();
     let mut cold_registry = ViewRegistry::new();
     let cold_id = cold_registry.add_view(view);
     let cold_ref = cold_registry.compile(&fvl, cold_id, VariantKind::Default).unwrap();
@@ -181,21 +197,35 @@ fn main() {
         "replayed state must answer like a cold-built engine"
     );
     println!(
-        "warm restart replayed {} bytes to generation {} — answers identical to a cold build",
-        disk.len(),
+        "warm restart recovered {} base + {} op-log bytes ({} frames) to generation {} — \
+         answers identical to a cold build",
+        base_bytes.map_or(0, |b| b.len()),
+        log_bytes.len(),
+        recovery.replayed_frames,
         replayed.seqno()
     );
 
-    // --- Resume: a fresh pipeline on the reloaded generation keeps
-    // ingesting where the old one left off. ------------------------------
-    let live2 = Arc::new(LiveEngine::new(Arc::new(replayed)));
-    let pipeline2 =
-        IngestPipeline::spawn(EngineWriter::new(live2.snapshot()), live2.clone(), policy);
+    // --- Resume: a fresh pipeline on the recovered generation keeps
+    // ingesting where the old one left off, through the same op-log. -----
+    let live2 = Arc::new(LiveEngine::new(replayed));
+    let pipeline2 = IngestPipeline::spawn_with(
+        EngineWriter::new(live2.snapshot()),
+        live2.clone(),
+        policy,
+        PipelineOptions { durable: Some(shared_durable(durable2)), ..PipelineOptions::default() },
+    );
     let t = pipeline2.queue().push(IngestOp::InsertLabels(pool[..CHUNK].to_vec())).unwrap();
     let seq = t.wait().expect("resumed pipeline serves new ops");
     let report2 = pipeline2.shutdown();
     assert_eq!(report2.stats.labels_ingested as usize, CHUNK);
     assert_eq!(live2.snapshot().store().len(), last.store().len() + CHUNK);
+    let (_, resumed, _) = DurableEngine::open(
+        fvl,
+        Box::new(restarted.survivor()),
+        LabelStore::DEFAULT_SHARD_CAPACITY,
+    )
+    .unwrap();
+    assert_eq!(resumed.seqno(), seq, "the resumed publish is durable too");
     println!(
         "resumed pipeline published generation {seq}: {} items — multi-producer ingest demo \
          complete",

@@ -8,12 +8,13 @@ use rand::SeedableRng;
 use std::sync::Arc;
 use wfprov::analysis::{classify, ProdGraph, RecursionClass};
 use wfprov::engine::{
-    EngineCore, EngineGeneration, EngineWriter, IngestOp, IngestPipeline, ItemId, LabelStore,
-    LiveEngine, PipelineOptions, PublishPolicy, SharedSink, Ticket, ViewRegistry, WorkerScratch,
+    shared_durable, DurableEngine, EngineCore, EngineWriter, IngestOp, IngestPipeline, ItemId,
+    LabelStore, LiveEngine, PipelineOptions, PublishPolicy, Ticket, ViewRegistry, WorkerScratch,
 };
 use wfprov::fvl::{DataLabel, Fvl, VariantKind};
 use wfprov::model::ViewSpec;
 use wfprov::run::RunOracle;
+use wfprov::snapshot::MemStorage;
 use wfprov::workloads::{bioaid, sample, synthetic, views, SynthParams};
 
 proptest! {
@@ -182,20 +183,23 @@ proptest! {
         let view = views::random_safe_view(&w, &mut rng, 4);
 
         // Phase 1: race the fleet; every publish appends its delta record
-        // to the shared op-log sink, chained onto the saved base below.
+        // to the durable op-log, chained onto the saved base below.
         let mut writer = EngineWriter::from_fvl(fvl.clone());
         let vref = writer.register_view(view.clone(), VariantKind::Default).unwrap();
         let live = Arc::new(LiveEngine::new(writer.base().clone()));
         writer.publish(&live);
-        let mut stream = Vec::new();
-        writer.base().save(&mut stream).unwrap();
-        let sink = SharedSink::new();
+        let mut base = Vec::new();
+        writer.base().save(&mut base).unwrap();
+        let mem = MemStorage::with_state(Some(base), Vec::new());
+        let (durable, _, _) =
+            DurableEngine::open(fvl.clone(), Box::new(mem.clone()), LabelStore::DEFAULT_SHARD_CAPACITY)
+                .unwrap();
         let pipeline = IngestPipeline::spawn_with(
             writer,
             live.clone(),
             // A tiny op budget forces publishes to split producer batches.
             PublishPolicy { max_batch_ops: 8, ..PublishPolicy::default() },
-            PipelineOptions { sink: Some(Box::new(sink.clone())), ..PipelineOptions::default() },
+            PipelineOptions { durable: Some(shared_durable(durable)), ..PipelineOptions::default() },
         );
         let race = |pipeline: &IngestPipeline, pool: &[DataLabel], base: usize| {
             let mut tickets: Vec<(Ticket, Vec<DataLabel>)> = Vec::new();
@@ -239,7 +243,7 @@ proptest! {
         let ref_vref = ref_registry.compile(&fvl, ref_id, VariantKind::Default).unwrap();
         prop_assert_eq!(ref_vref, vref);
         for (_, chunk) in &tickets {
-            ref_store.insert_all(chunk);
+            ref_store.try_insert_all(chunk).unwrap();
         }
         let mut ref_ws = WorkerScratch::new();
         let mut reference_all_pairs = |store: &LabelStore, items: &[ItemId]| {
@@ -256,11 +260,13 @@ proptest! {
         let mut ws = WorkerScratch::new();
         prop_assert_eq!(final_gen.all_pairs(&mut ws, vref, &items), expected.clone());
 
-        // Save → load: replaying base ‖ op-log must land on the same
+        // Save → load: recovering base ‖ op-log must land on the same
         // generation, views included.
-        stream.extend_from_slice(&sink.contents());
         let fvl2 = Arc::new(Fvl::from_arc(Arc::new(w.spec.clone())).unwrap());
-        let reloaded = EngineGeneration::replay(fvl2, &mut stream.as_slice()).unwrap();
+        let (_, reloaded, recovery) =
+            DurableEngine::open(fvl2, Box::new(mem.survivor()), LabelStore::DEFAULT_SHARD_CAPACITY)
+                .unwrap();
+        prop_assert_eq!(recovery.dropped_bytes, 0);
         prop_assert_eq!(reloaded.seqno(), final_gen.seqno());
         prop_assert_eq!(reloaded.store().len(), final_gen.store().len());
         prop_assert_eq!(reloaded.all_pairs(&mut ws, vref, &items), expected);
@@ -268,7 +274,7 @@ proptest! {
         // Resume: a second fleet raced on top of the reloaded generation
         // must still match the sequential reference continued in its
         // ticket order.
-        let live2 = Arc::new(LiveEngine::new(Arc::new(reloaded)));
+        let live2 = Arc::new(LiveEngine::new(reloaded));
         let pipeline2 =
             IngestPipeline::spawn(EngineWriter::new(live2.snapshot()), live2.clone(), PublishPolicy {
                 max_batch_ops: 8,
@@ -281,7 +287,7 @@ proptest! {
         }
         tickets2.sort_by_key(|(t, _)| t.apply_index().expect("resolved tickets carry the index"));
         for (_, chunk) in &tickets2 {
-            ref_store.insert_all(chunk);
+            ref_store.try_insert_all(chunk).unwrap();
         }
         let resumed = live2.snapshot();
         prop_assert_eq!(resumed.store().len(), 2 * producers * PER);
