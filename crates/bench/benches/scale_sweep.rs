@@ -22,15 +22,7 @@
 //!   `load`, which restores interned labels without relabeling), with warm
 //!   answers spot-checked against cold;
 //! * memory — `rss_bytes` (`VmRSS`) after each size's build, plus the
-//!   process-wide `peak_rss_bytes` (`VmHWM`) after the largest;
-//! * `kernels` — the microbench justifying the word-parallel transpose
-//!   rewrite, measured in its dispatched regime (a dense operand) against
-//!   the bit-serial reference, speedup recorded and CI-gated (≥ 2×);
-//! * `profile` — when built with `--features profile`, the per-stage
-//!   [`wf_bench::profile::ProfileReport`] of the largest size's query
-//!   traffic (label fetch / port-graph walk / matmul / pow-memo hit+miss /
-//!   …), hottest first, top-3 named. CI runs this bench with the feature
-//!   on so `bench_check` can gate on the report being present.
+//!   process-wide `peak_rss_bytes` (`VmHWM`) after the largest.
 //!
 //! Writes `BENCH_scale_sweep.json` (workspace root); `--test` shrinks the
 //! sweep to a 10⁴ top size for CI's bench-smoke.
@@ -41,8 +33,7 @@ use rand::{Rng, SeedableRng};
 use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::Instant;
-use wf_bench::{current_rss_bytes, ms, ns_per, peak_rss_bytes, profile, Bench, LatencyHistogram};
-use wf_boolmat::BoolMat;
+use wf_bench::{current_rss_bytes, ms, peak_rss_bytes, Bench, LatencyHistogram};
 use wf_core::{Fvl, VariantKind};
 use wf_engine::{EngineGeneration, EngineWriter, ItemId, LiveEngine, WorkerScratch};
 
@@ -94,18 +85,6 @@ fn hist_json(h: &LatencyHistogram) -> String {
     )
 }
 
-/// Dense pseudo-random 64×64 operand (~50% occupancy) — the transpose
-/// microbench's worst case for the bit-serial scatter.
-fn dense64(seed: u64) -> BoolMat {
-    let mut state = seed | 1;
-    let mut m = BoolMat::zeros(64, 64);
-    for r in 0..64 {
-        state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-        m.set_row_bits(r, state ^ state.rotate_left(31));
-    }
-    m
-}
-
 fn bench_scale_sweep(c: &mut Criterion) {
     let quick = std::env::args().any(|a| a == "--test");
     // Full mode is the committed Figure 26 axis; quick keeps the same
@@ -113,14 +92,12 @@ fn bench_scale_sweep(c: &mut Criterion) {
     let sizes: &[usize] =
         if quick { &[1_000, 4_000, 10_000] } else { &[10_000, 100_000, 1_000_000] };
     let queries = if quick { 4_000 } else { 20_000 };
-    let kernel_iters = if quick { 20_000 } else { 200_000 };
 
     let bench = Bench::fine(1);
     let fvl = Arc::new(Fvl::from_arc(Arc::new(bench.workload.spec.clone())).unwrap());
     let view = bench.safe_view(7, 8);
 
     let mut rows: Vec<SweepRow> = Vec::new();
-    let mut profile_report = profile::ProfileReport::default();
 
     for &size in sizes {
         // A real run of this size — sampled outside the cold-build timer
@@ -150,7 +127,6 @@ fn bench_scale_sweep(c: &mut Criterion) {
         for &(a, b) in pairs.iter().take(256) {
             std::hint::black_box(core.try_query(&mut ws, vref, a, b).unwrap());
         }
-        let _ = profile::take_report(); // profile the measured traffic only
         let mut seq = LatencyHistogram::new();
         let t_seq = Instant::now();
         for &(a, b) in &pairs {
@@ -191,8 +167,6 @@ fn bench_scale_sweep(c: &mut Criterion) {
         for h in &worker_hists {
             par.merge(h);
         }
-        // The largest size's measured traffic is the profile that matters.
-        profile_report = profile::take_report();
 
         // --- Warm restart: snapshot round-trip vs the cold build. -------
         let mut snapshot = Vec::new();
@@ -226,19 +200,6 @@ fn bench_scale_sweep(c: &mut Criterion) {
         });
     }
 
-    // --- Kernel microbench: the word-parallel transpose vs its
-    // bit-serial reference, in its dispatched regime (a dense operand). --
-    let a = dense64(0xA5A5_5A5A);
-    let mut out = BoolMat::default();
-    let transpose_serial_ns = ns_per(kernel_iters, |_| {
-        a.transpose_into_bitserial(&mut out);
-        out.row_bits(0)
-    });
-    let transpose_block_ns = ns_per(kernel_iters, |_| {
-        a.transpose_into_block(&mut out);
-        out.row_bits(0)
-    });
-
     let peak_rss = peak_rss_bytes().unwrap_or(0);
 
     // --- JSON report. ---------------------------------------------------
@@ -261,19 +222,9 @@ fn bench_scale_sweep(c: &mut Criterion) {
          par_query_ns = same workload across {PAR_WORKERS} scoped workers sharing the frozen \
          core, per-worker histograms merged (on host_cores < par_workers the tail includes \
          time-slicing, by design); warm_load_ms = EngineGeneration::load from a save() snapshot \
-         — no relabeling, and the compiled view arrives compiled — gated <= cold_build_ms; rss_bytes = VmRSS after the \
-         build. kernels = 64x64 microbench of the word-parallel transpose against the bit-serial \
-         scatter on a dense operand (its dispatched regime); speedup gated by bench_check. profile = per-stage counters of the largest size's measured queries, \
-         present when built with --features profile (CI does).\","
+         — no relabeling, and the compiled view arrives compiled — gated <= cold_build_ms; \
+         rss_bytes = VmRSS after the build.\","
     );
-    let _ = writeln!(json, "  \"kernels\": {{");
-    let _ = writeln!(
-        json,
-        "    \"transpose_64x64\": {{ \"bitserial_ns\": {transpose_serial_ns:.1}, \
-         \"word_parallel_ns\": {transpose_block_ns:.1}, \"speedup\": {:.2} }}",
-        transpose_serial_ns / transpose_block_ns
-    );
-    let _ = writeln!(json, "  }},");
     let _ = writeln!(json, "  \"sweep\": [");
     for (i, row) in rows.iter().enumerate() {
         let _ = writeln!(json, "    {{");
@@ -295,8 +246,7 @@ fn bench_scale_sweep(c: &mut Criterion) {
         let _ = writeln!(json, "    }}{}", if i + 1 < rows.len() { "," } else { "" });
     }
     let _ = writeln!(json, "  ],");
-    let _ = writeln!(json, "  \"peak_rss_bytes\": {peak_rss},");
-    let _ = writeln!(json, "  \"profile\": {}", profile::report_json(&profile_report, "  "));
+    let _ = writeln!(json, "  \"peak_rss_bytes\": {peak_rss}");
     let _ = writeln!(json, "}}");
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_scale_sweep.json");
     if let Err(e) = std::fs::write(path, &json) {
@@ -322,12 +272,6 @@ fn bench_scale_sweep(c: &mut Criterion) {
             let (x, y) = pairs[i % pairs.len()];
             i += 1;
             std::hint::black_box(core.try_query(&mut ws, vref, x, y).unwrap())
-        })
-    });
-    g.bench_function("transpose_64x64_word_parallel", |bch| {
-        bch.iter(|| {
-            a.transpose_into_block(&mut out);
-            std::hint::black_box(out.row_bits(0))
         })
     });
     g.finish();

@@ -235,56 +235,6 @@ fn proc_status_bytes(field: &str) -> Option<u64> {
     Some(kb * 1024)
 }
 
-pub mod profile {
-    //! The bench-facing surface of the hot-path profiler: re-exports
-    //! `wf-profile` (scopes, stages, [`take_report`]) plus the JSON
-    //! formatting benches embed in their reports.
-    //!
-    //! Build benches with `--features profile` to light the counters up
-    //! end to end (`wf-bench/profile` forwards through engine → core →
-    //! boolmat); without it every scope is a no-op and
-    //! [`report_json`] says `"enabled": false`.
-
-    pub use wf_profile::{count, is_enabled, scope, take_report, ProfileReport, Stage, STAGES};
-
-    /// Formats a report as a JSON object: an `enabled` flag, per-stage
-    /// `{calls, ns}` rows (hottest first), and a `top` array naming the
-    /// three hottest stages — what `bench_check` gates on.
-    pub fn report_json(r: &ProfileReport, indent: &str) -> String {
-        let ranked = r.ranked();
-        let mut s = String::new();
-        s.push_str("{\n");
-        s.push_str(&format!("{indent}  \"enabled\": {},\n", is_enabled()));
-        let top: Vec<String> = ranked
-            .iter()
-            .filter(|&&st| r.calls_of(st) > 0)
-            .take(3)
-            .map(|st| format!("\"{}\"", st.name()))
-            .collect();
-        s.push_str(&format!("{indent}  \"top\": [{}],\n", top.join(", ")));
-        s.push_str(&format!("{indent}  \"stages\": {{\n"));
-        let rows: Vec<String> = ranked
-            .iter()
-            .filter(|&&st| r.calls_of(st) > 0)
-            .map(|st| {
-                format!(
-                    "{indent}    \"{}\": {{ \"calls\": {}, \"ns\": {} }}",
-                    st.name(),
-                    r.calls_of(*st),
-                    r.ns_of(*st)
-                )
-            })
-            .collect();
-        s.push_str(&rows.join(",\n"));
-        if !rows.is_empty() {
-            s.push('\n');
-        }
-        s.push_str(&format!("{indent}  }}\n"));
-        s.push_str(&format!("{indent}}}"));
-        s
-    }
-}
-
 /// Average and maximum encoded data-label size, in bits.
 pub fn label_bits_stats(fvl: &Fvl<'_>, labels: &[DataLabel]) -> (f64, usize) {
     let mut total = 0usize;
@@ -532,23 +482,6 @@ mod tests {
         assert!(cur > 0, "a running process has resident pages");
         assert!(peak >= cur / 2, "HWM cannot be far below current RSS (peak {peak}, cur {cur})");
         assert!(peak > 0);
-    }
-
-    /// The JSON formatting of a profile report is shape-stable: an
-    /// `enabled` flag, a `top` array, and hottest-first stage rows.
-    #[test]
-    fn profile_report_json_shape() {
-        let mut r = profile::ProfileReport::default();
-        r.calls[profile::Stage::Matmul as usize] = 10;
-        r.ns[profile::Stage::Matmul as usize] = 5_000;
-        r.calls[profile::Stage::Pi as usize] = 4;
-        r.ns[profile::Stage::Pi as usize] = 9_000;
-        r.calls[profile::Stage::PowMemoHit as usize] = 2;
-        let json = profile::report_json(&r, "  ");
-        assert!(json.contains("\"top\": [\"pi\", \"matmul\", \"pow_memo_hit\"]"), "{json}");
-        assert!(json.contains("\"matmul\": { \"calls\": 10, \"ns\": 5000 }"), "{json}");
-        let empty = profile::report_json(&profile::ProfileReport::default(), "");
-        assert!(empty.contains("\"top\": []"), "{empty}");
     }
 
     #[test]

@@ -195,7 +195,6 @@ impl BoolMat {
     /// row `k` of `other`, with a saturated-row early exit.
     #[inline]
     fn matmul_bits(&self, other: &BoolMat, out: &mut BoolMat) {
-        let _t = wf_profile::scope(wf_profile::Stage::Matmul);
         let full = Self::col_mask(other.cols as usize);
         for (i, &row) in self.data.iter().enumerate() {
             // All-zero source rows contribute nothing; `out` is freshly
@@ -236,25 +235,10 @@ impl BoolMat {
         self.transpose_bits(out);
     }
 
-    /// Population threshold (in matrix *cells*, `rows × cols`) above which
-    /// the word-parallel 64×64 block transpose beats bit-serial scatter.
-    /// The block network is a fixed ~6·64 word ops regardless of density;
-    /// bit-serial pays ~3 dependent ops per set bit. Small port matrices
-    /// (≤10×10) stay bit-serial; the `Oᵀ` of a wide accumulated chain goes
-    /// word-parallel.
-    const TRANSPOSE_BLOCK_MIN_CELLS: usize = 256;
-
+    /// The bit-serial scatter kernel: each set bit `(r, c)` of `self` sets
+    /// bit `r` of output row `c`.
     #[inline]
     fn transpose_bits(&self, out: &mut BoolMat) {
-        let _t = wf_profile::scope(wf_profile::Stage::Transpose);
-        if self.rows as usize * self.cols as usize >= Self::TRANSPOSE_BLOCK_MIN_CELLS {
-            self.transpose_bits_block(out);
-        } else {
-            self.transpose_bits_serial(out);
-        }
-    }
-
-    fn transpose_bits_serial(&self, out: &mut BoolMat) {
         for r in 0..self.rows as usize {
             let mut bits = self.data[r];
             while bits != 0 {
@@ -263,57 +247,6 @@ impl BoolMat {
                 bits &= bits - 1;
             }
         }
-    }
-
-    /// Word-parallel 64×64 bit-block transpose (Hacker's Delight §7-3):
-    /// pad the matrix into a `[u64; 64]` block, then run the log-step
-    /// swap-mask network — at step `j ∈ {32,16,8,4,2,1}` every pair of rows
-    /// `(k, k|j)` exchanges its off-diagonal `j×j` sub-blocks with three
-    /// XORs under mask `m`. Six passes of straight-line word ops replace
-    /// one scattered read-modify-write per set bit.
-    ///
-    /// Transpose is only legal when `rows ≤ 64` (the output needs `rows`
-    /// columns), so the 64×64 block always suffices; padding rows/bits are
-    /// zero by the row-mask invariant and fall off in the copy-out.
-    fn transpose_bits_block(&self, out: &mut BoolMat) {
-        let rows = self.rows as usize;
-        debug_assert!(rows <= 64, "transpose requires rows <= 64 (got {rows})");
-        let mut a = [0u64; 64];
-        a[..rows].copy_from_slice(&self.data);
-        let mut j = 32usize;
-        let mut m: u64 = 0x0000_0000_FFFF_FFFF;
-        while j != 0 {
-            let mut k = 0usize;
-            while k < 64 {
-                // LSB-first block swap: exchange the high-`j` bits of row
-                // `k` with the low-`j` bits of row `k|j` (the mirror of the
-                // MSB-first form in Hacker's Delight, matching our
-                // bit-0-is-column-0 layout).
-                let t = ((a[k] >> j) ^ a[k | j]) & m;
-                a[k] ^= t << j;
-                a[k | j] ^= t;
-                k = ((k | j) + 1) & !j;
-            }
-            j >>= 1;
-            m ^= m << j;
-        }
-        out.data.copy_from_slice(&a[..self.cols as usize]);
-    }
-
-    /// The bit-serial scatter transpose, callable directly. Exposed as the
-    /// reference implementation for the kernel-equivalence proptests and
-    /// the `scale_sweep` microbench; production code should use
-    /// [`BoolMat::transpose_into`], which dispatches by occupancy.
-    pub fn transpose_into_bitserial(&self, out: &mut BoolMat) {
-        out.reset(self.cols as usize, self.rows as usize);
-        self.transpose_bits_serial(out);
-    }
-
-    /// The word-parallel block transpose, callable directly (same contract
-    /// as [`BoolMat::transpose_into_bitserial`]).
-    pub fn transpose_into_block(&self, out: &mut BoolMat) {
-        out.reset(self.cols as usize, self.rows as usize);
-        self.transpose_bits_block(out);
     }
 
     /// Element-wise OR, in place. Used when accumulating reachability.

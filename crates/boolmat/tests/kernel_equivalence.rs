@@ -1,9 +1,8 @@
-//! Kernel-equivalence pins: the word-parallel block transpose is a pure
-//! speed play — both transpose kernels (and the dimension-dispatched entry
-//! point), like the bit-serial matmul behind `matmul`/`matmul_into`, must
-//! be element-identical to the naive definitional loops on random matrices
-//! across the full dimension range, including the 0-row/0-col degenerates
-//! and the 64-wide edge.
+//! Kernel-equivalence pins: the bit-serial transpose behind
+//! `transpose`/`transpose_into` and the bit-serial matmul behind
+//! `matmul`/`matmul_into` must be element-identical to the naive
+//! definitional loops on random matrices across the full dimension range,
+//! including the 0-row/0-col degenerates and the 64-wide edge.
 
 use proptest::prelude::*;
 use wf_boolmat::BoolMat;
@@ -59,9 +58,10 @@ fn random_mat(rows: usize, cols: usize, seed: u64) -> BoolMat {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(300))]
 
-    /// Both transpose kernels — and the dispatching `transpose_into` —
-    /// agree with the definitional loop for every `rows ≤ 64, cols ≤ 64`
-    /// (transpose needs `rows ≤ 64` so the output fits the column bound).
+    /// `transpose_into` (into a dirty matrix and a default one) and
+    /// `transpose` agree with the definitional loop for every `rows ≤ 64,
+    /// cols ≤ 64` (transpose needs `rows ≤ 64` so the output fits the
+    /// column bound).
     #[test]
     fn transpose_kernels_match_naive(
         rows in 0usize..=64,
@@ -70,15 +70,12 @@ proptest! {
     ) {
         let m = random_mat(rows, cols, seed);
         let expect = naive_transpose(&m);
-        let mut serial = BoolMat::complete(3, 3); // dirty on purpose
-        m.transpose_into_bitserial(&mut serial);
-        prop_assert_eq!(&serial, &expect);
-        let mut block = BoolMat::complete(2, 5);
-        m.transpose_into_block(&mut block);
-        prop_assert_eq!(&block, &expect);
-        let mut dispatched = BoolMat::default();
-        m.transpose_into(&mut dispatched);
-        prop_assert_eq!(&dispatched, &expect);
+        let mut dirty = BoolMat::complete(3, 3);
+        m.transpose_into(&mut dirty);
+        prop_assert_eq!(&dirty, &expect);
+        let mut fresh = BoolMat::default();
+        m.transpose_into(&mut fresh);
+        prop_assert_eq!(&fresh, &expect);
         prop_assert_eq!(&m.transpose(), &expect);
     }
 
@@ -105,18 +102,16 @@ proptest! {
     }
 }
 
-/// The occupancy crossover cases straddle `TRANSPOSE_BLOCK_MIN_CELLS`;
-/// pin the exact boundary dimensions so a future threshold tweak cannot
-/// silently change which kernel runs unverified. The matmul shapes (inner
-/// 15/16/17, row counts around 4, the full 64-wide product) are fixed
-/// regression cases for `matmul_into`.
+/// Fixed regression shapes: square and skewed transposes around 256
+/// cells plus the 64-wide edges, and matmul shapes with inner 15/16/17,
+/// row counts around 4 and the full 64-wide product.
 #[test]
 fn dispatch_boundaries_agree_with_naive() {
     for (rows, cols) in [(15, 17), (16, 16), (16, 15), (17, 15), (4, 64), (64, 4), (64, 64)] {
         let m = random_mat(rows, cols, (rows * 131 + cols) as u64);
         let mut out = BoolMat::default();
         m.transpose_into(&mut out);
-        assert_eq!(out, naive_transpose(&m), "transpose dispatch at {rows}x{cols}");
+        assert_eq!(out, naive_transpose(&m), "transpose at {rows}x{cols}");
     }
     for (r, m, c) in [(3, 64, 8), (4, 15, 8), (4, 16, 8), (5, 17, 9), (64, 64, 64)] {
         let a = random_mat(r, m, (r * 17 + m) as u64);
@@ -127,14 +122,14 @@ fn dispatch_boundaries_agree_with_naive() {
     }
 }
 
-/// Full-width involution through the block kernel: a dense 64×64 random
-/// matrix survives transpose∘transpose bit-for-bit.
+/// Full-width involution: a dense 64×64 random matrix survives
+/// transpose∘transpose bit-for-bit.
 #[test]
-fn block_transpose_is_an_involution_at_full_width() {
+fn transpose_is_an_involution_at_full_width() {
     let m = random_mat(64, 64, 0xFEED_5EED);
     let mut t = BoolMat::default();
     let mut back = BoolMat::default();
-    m.transpose_into_block(&mut t);
-    t.transpose_into_block(&mut back);
+    m.transpose_into(&mut t);
+    t.transpose_into(&mut back);
     assert_eq!(back, m);
 }

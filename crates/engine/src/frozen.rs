@@ -30,7 +30,6 @@ use crate::error::EngineError;
 use crate::registry::{ViewRef, ViewRegistry};
 use crate::store::{ItemId, LabelStore};
 use wf_core::{is_visible_ref, pi_with, DecodeCtx, Fvl, QueryScratch};
-use wf_profile::Stage;
 use wf_run::EdgeLabel;
 
 /// One worker's mutable query state: scratch (pool + memo) and the label
@@ -73,13 +72,8 @@ pub(crate) fn query_pair(
     a: ItemId,
     b: ItemId,
 ) -> Option<bool> {
-    let (r1, r2) = {
-        let _f = wf_profile::scope(Stage::LabelFetch);
-        (
-            store.label_ref(a, &mut ws.buf_o1, &mut ws.buf_i1),
-            store.label_ref(b, &mut ws.buf_o2, &mut ws.buf_i2),
-        )
-    };
+    let r1 = store.label_ref(a, &mut ws.buf_o1, &mut ws.buf_i1);
+    let r2 = store.label_ref(b, &mut ws.buf_o2, &mut ws.buf_i2);
     if !is_visible_ref(r1, ctx.vl, ctx.pg) || !is_visible_ref(r2, ctx.vl, ctx.pg) {
         return None;
     }
@@ -99,18 +93,12 @@ fn sweep_rows(
     out: &mut Vec<(ItemId, ItemId)>,
 ) {
     for &a in rows {
-        let r1 = {
-            let _f = wf_profile::scope(Stage::LabelFetch);
-            store.label_ref(a, &mut ws.buf_o1, &mut ws.buf_i1)
-        };
+        let r1 = store.label_ref(a, &mut ws.buf_o1, &mut ws.buf_i1);
         if !is_visible_ref(r1, ctx.vl, ctx.pg) {
             continue;
         }
         for &b in items {
-            let r2 = {
-                let _f = wf_profile::scope(Stage::LabelFetch);
-                store.label_ref(b, &mut ws.buf_o2, &mut ws.buf_i2)
-            };
+            let r2 = store.label_ref(b, &mut ws.buf_o2, &mut ws.buf_i2);
             if !is_visible_ref(r2, ctx.vl, ctx.pg) {
                 continue;
             }
@@ -218,7 +206,6 @@ impl<'e> EngineCore<'e> {
             self.check_item(a)?;
             self.check_item(b)?;
         }
-        let _batch = wf_profile::scope(Stage::Batch);
         out.resize(pairs.len(), None);
         let WorkerScratch { scratch, buf_o1, buf_i1, buf_o2, buf_i2, order } = ws;
         order.clear();
@@ -230,10 +217,7 @@ impl<'e> EngineCore<'e> {
         let mut at = 0;
         while at < order.len() {
             let a = pairs[order[at] as usize].0;
-            let r1 = {
-                let _f = wf_profile::scope(Stage::LabelFetch);
-                self.store.label_ref(a, buf_o1, buf_i1)
-            };
+            let r1 = self.store.label_ref(a, buf_o1, buf_i1);
             let visible1 = is_visible_ref(r1, ctx.vl, ctx.pg);
             while at < order.len() {
                 let slot = order[at] as usize;
@@ -244,10 +228,7 @@ impl<'e> EngineCore<'e> {
                 out[slot] = if !visible1 {
                     None
                 } else {
-                    let r2 = {
-                        let _f = wf_profile::scope(Stage::LabelFetch);
-                        self.store.label_ref(b, buf_o2, buf_i2)
-                    };
+                    let r2 = self.store.label_ref(b, buf_o2, buf_i2);
                     if is_visible_ref(r2, ctx.vl, ctx.pg) {
                         pi_with(&ctx, scratch, r1, r2)
                     } else {
@@ -274,7 +255,6 @@ impl<'e> EngineCore<'e> {
         for &a in items {
             self.check_item(a)?;
         }
-        let _batch = wf_profile::scope(Stage::Batch);
         sweep_rows(self.store, &ctx, ws, items, items, out);
         Ok(())
     }
@@ -333,7 +313,6 @@ impl<'e> EngineCore<'e> {
                 pairs.chunks(chunk).zip(out.chunks_mut(chunk)).zip(scratches.iter_mut())
             {
                 s.spawn(move || {
-                    let _batch = wf_profile::scope(Stage::Batch);
                     for (slot, &(a, b)) in out_chunk.iter_mut().zip(in_chunk) {
                         *slot = query_pair(store, ctx, ws, a, b);
                     }
@@ -370,7 +349,6 @@ impl<'e> EngineCore<'e> {
                 .chunks(chunk)
                 .map(|rows| {
                     s.spawn(move || {
-                        let _batch = wf_profile::scope(Stage::Batch);
                         let mut ws = WorkerScratch::new();
                         let mut local = Vec::new();
                         sweep_rows(store, ctx, &mut ws, rows, items, &mut local);

@@ -184,6 +184,9 @@ fn steady_state_is_allocation_free() {
     core.try_query_batch_into(&mut ws, vref, &id_pairs, &mut out).unwrap();
     core.try_query_batch_into(&mut ws, vref, &id_pairs, &mut out).unwrap();
     let warm = ws.stats();
+    // The workload is recursive, so a warm batch must hold chain powers in
+    // the decode memo: a memo that is never filled cannot grow either.
+    assert!(warm.1 > 0, "warm decode memo holds no chain powers: {warm:?}");
     for _ in 0..3 {
         core.try_query_batch_into(&mut ws, vref, &id_pairs, &mut out).unwrap();
         assert_eq!(ws.stats(), warm, "scratch grew after warm-up");
